@@ -21,16 +21,20 @@ using namespace cisa;
 namespace
 {
 
-/** Re-encode a trace as fixed 4-byte instructions. */
+/** Re-encode a trace of @p prog as fixed 4-byte instructions. */
 Trace
-fixedLenTrace(const Trace &t)
+fixedLenTrace(const Trace &t, const MachineProgram &prog)
 {
     Trace out = t;
-    // Map each distinct pc to a fresh 4-byte-spaced address,
+    // Map each instruction to a fresh 4-byte-spaced address,
     // preserving relative order (a linear re-layout of the binary).
+    // The layout comes from the program, not from the trace, which
+    // holds only a prefix of the run.
     std::map<uint64_t, uint64_t> remap;
-    for (const auto &op : t.ops)
-        remap[op.pc] = 0;
+    for (const auto &f : prog.funcs)
+        for (const auto &b : f.blocks)
+            for (const auto &i : b.instrs)
+                remap[i.addr] = 0;
     uint64_t next = 0x400000;
     for (auto &[pc, tgt] : remap) {
         tgt = next;
@@ -69,17 +73,21 @@ main()
     for (const char *name :
          {"microx86-16D-32W-P", "x86-16D-64W-P", "x86-64D-64W-F"}) {
         FeatureSet fs = FeatureSet::parse(name);
+        CompileOptions opts = CompileOptions::fromEnv();
+        opts.target = fs;
         double bytes_v = 0, bytes_f = 0, ipc_v = 0, ipc_f = 0;
         int n = 0;
         for (int ph = 0; ph < phaseCount(); ph += 6) {
-            CompiledRun run = compileAndRun(phaseModule(ph), fs);
-            Trace fixed = fixedLenTrace(run.trace);
+            // Capped for the 1000 + 4000 uops simulated below.
+            std::shared_ptr<const PhaseArtifact> art =
+                phaseArtifact(ph, opts, 5000);
+            Trace fixed = fixedLenTrace(art->trace, art->program);
             CoreConfig cc{fs, ua};
             PerfResult rv =
-                simulateCore(cc, run.trace, 4000, 1000);
+                simulateCore(cc, art->trace, 4000, 1000);
             PerfResult rf = simulateCore(cc, fixed, 4000, 1000);
-            bytes_v += double(run.program.stats.codeBytes);
-            bytes_f += double(run.program.stats.instrs) * 4.0;
+            bytes_v += double(art->program.stats.codeBytes);
+            bytes_f += double(art->program.stats.instrs) * 4.0;
             ipc_v += rv.ipc;
             ipc_f += rf.ipc;
             n++;

@@ -28,17 +28,18 @@ struct Mix
 Mix
 mixFor(const FeatureSet &fs)
 {
+    CompileOptions opts = CompileOptions::fromEnv();
+    opts.target = fs;
     Mix m;
     for (int b = 0; b < int(specSuite().size()); b++) {
-        int first = 0;
-        for (int k = 0; k < b; k++)
-            first += int(specSuite()[size_t(k)].phases.size());
+        int first = phaseStartIndex(b);
         const auto &phases = specSuite()[size_t(b)].phases;
         Mix bm;
         for (size_t p = 0; p < phases.size(); p++) {
-            CompiledRun run =
-                compileAndRun(phaseModule(first + int(p)), fs);
-            const DynStats &d = run.trace.dyn;
+            // Whole-run mix: the artifact's dyn covers every op.
+            std::shared_ptr<const PhaseArtifact> art =
+                phaseArtifact(first + int(p), opts);
+            const DynStats &d = art->trace.dyn;
             double w = phases[p].weight;
             bm.loads += w * double(d.loads);
             bm.stores += w * double(d.stores);

@@ -13,8 +13,10 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/benchcommon.hh"
+#include "common/parallel.hh"
 
 using namespace cisa;
 using namespace cisa::benchutil;
@@ -40,22 +42,27 @@ struct StageEnergy
 StageEnergy
 energyOf(const MulticoreDesign &d)
 {
+    // Evaluate every (core, phase) pair on the pool, then sum in
+    // order so the result does not depend on the thread count.
+    size_t phases = size_t(phaseCount());
+    std::vector<EnergyBreakdown> runs(d.cores.size() * phases);
+    parallelFor(runs.size(), [&](uint64_t k) {
+        CoreConfig cc = d.cores[k / phases].coreConfig();
+        runs[k] =
+            evaluatePhase(int(k % phases), cc.isa, cc.uarch, 2500)
+                .energy;
+    });
     StageEnergy s;
-    for (const auto &core : d.cores) {
-        CoreConfig cc = core.coreConfig();
-        // Every third phase keeps the bench under a minute while
-        // still covering all eight benchmarks.
-        for (int ph = 0; ph < phaseCount(); ph += 3) {
-            PhaseRun r = evaluatePhase(ph, cc.isa, cc.uarch, 2500);
-            double w = allPhases()[size_t(ph)].weight;
-            s.fetch += w * r.energy.fetch;
-            s.decode += w * (r.energy.decode + r.energy.rename);
-            s.bpred += w * r.energy.bpred;
-            s.sched += w * r.energy.scheduler;
-            s.rf += w * r.energy.regfile;
-            s.fu += w * r.energy.fu;
-            s.mem += w * r.energy.lsq;
-        }
+    for (size_t k = 0; k < runs.size(); k++) {
+        const EnergyBreakdown &e = runs[k];
+        double w = allPhases()[k % phases].weight;
+        s.fetch += w * e.fetch;
+        s.decode += w * (e.decode + e.rename);
+        s.bpred += w * e.bpred;
+        s.sched += w * e.scheduler;
+        s.rf += w * e.regfile;
+        s.fu += w * e.fu;
+        s.mem += w * e.lsq;
     }
     return s;
 }

@@ -36,9 +36,7 @@ suiteMix(const FeatureSet &fs, bool if_convert = true,
         opts.target = fs;
         opts.enableIfConvert = if_convert;
         opts.optLevel = opt_level;
-        CompiledRun run =
-            compileAndRun(phaseModule(ph), fs, &opts);
-        total.add(run.trace.dyn);
+        total.add(phaseArtifact(ph, opts)->trace.dyn);
     }
     return total;
 }

@@ -7,7 +7,9 @@
 # and the slab store's cross-process locking). The compiler pass
 # tests ride along: SCCP's constant folding and unroll's trip
 # arithmetic are exactly the kind of integer code UBSan catches
-# overflowing, and the golden O1 test pins the whole mid-end.
+# overflowing, and the golden O1 test pins the whole mid-end. The
+# stage-1 artifact test covers the shared image templates and the
+# build-once memo that concurrent evaluations race on.
 #
 # Not registered with ctest (it configures and builds three extra
 # trees); run it by hand or from CI:
@@ -19,7 +21,7 @@ jobs="${1:-$(nproc 2>/dev/null || echo 4)}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
 tests="test_faultinject test_slabstore test_service test_passes \
-test_compile_units"
+test_compile_units test_artifact"
 
 run_config() {
     name="$1"

@@ -264,7 +264,9 @@ Machine::recordDyn(const MachineInstr &i, bool pred_false, bool taken,
             d->taken++;
     }
 
-    if (trace->ops.size() >= traceCap) {
+    // The runaway guard counts executed macro-ops: the stored count
+    // stops growing at recordCap, so it could never trip a capped run.
+    if (d->macroOps > traceCap) {
         trace->truncated = true;
         stop = true;
         return;

@@ -118,7 +118,8 @@ struct Trace
  *
  * @param max_macro_ops fuel limit
  * @param trace optional trace sink
- * @param trace_cap stop executing after this many trace entries
+ * @param trace_cap stop executing (and set Trace::truncated) once
+ *     the run exceeds this many macro-ops, stored or not
  * @param record_cap stop *storing* DynOps after this many entries
  *     while execution (and DynStats accounting) continues to the
  *     end of the run. Callers that only simulate a bounded uop

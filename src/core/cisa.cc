@@ -1,7 +1,6 @@
 #include "core/cisa.hh"
 
 #include "common/env.hh"
-#include "common/logging.hh"
 
 namespace cisa
 {
@@ -35,34 +34,26 @@ evaluatePhase(int phase_idx, const FeatureSet &isa,
               const MicroArchConfig &uarch, uint64_t timed_uops,
               const RunEnv &env)
 {
-    const IrModule &mod = phaseModule(phase_idx);
-
     CompileOptions opts = CompileOptions::fromEnv();
     opts.target = isa;
-    CompileReport rep;
-    IrModule ir;
-    MachineProgram prog = compile(mod, opts, &rep, &ir);
-
-    MemImage img = MemImage::build(ir, isa.widthBits());
-    Trace trace;
-    executeMachine(prog, img, 1ULL << 31, &trace, 1ULL << 21);
-    panic_if(trace.truncated, "phase %d trace truncated", phase_idx);
-
     uint64_t timed = timed_uops ? timed_uops : simUopBudget();
-    uint64_t warm = simWarmupUops();
+    std::shared_ptr<const PhaseArtifact> art =
+        phaseArtifact(phase_idx, opts, timed);
+
     CoreConfig cc{isa, uarch};
-    PerfResult perf = simulateCore(cc, trace, timed, warm, env);
+    PerfResult perf =
+        simulateCore(cc, art->trace, timed, simWarmupUops(), env);
 
     PhaseRun run;
-    run.code = prog.stats;
-    run.passes = rep;
-    run.mix = trace.dyn;
+    run.code = art->program.stats;
+    run.passes = art->report;
+    run.mix = art->trace.dyn;
     run.perf = perf;
     run.energy = coreEnergy(cc, perf.stats);
     run.areaMm2 = coreAreaMm2(cc);
     run.peakPowerW = corePeakPowerW(cc);
     double scale =
-        double(trace.ops.size()) / double(perf.stats.macroOps);
+        double(art->runOps()) / double(perf.stats.macroOps);
     run.timePerRunSec = secondsOf(perf.cycles) * scale;
     run.energyPerRunJ = run.energy.total() * scale;
     return run;

@@ -32,6 +32,7 @@
 #include "power/energy.hh"
 #include "power/power.hh"
 #include "uarch/core.hh"
+#include "workloads/artifact.hh"
 #include "workloads/profiles.hh"
 #include "workloads/simpoint.hh"
 #include "workloads/synth.hh"
@@ -56,6 +57,12 @@ struct PhaseRun
 /**
  * Compile phase @p phase_idx for @p isa, execute it functionally,
  * and simulate it on @p uarch.
+ *
+ * Stage 1 is memoized (phaseArtifact(), workloads/artifact.hh):
+ * calls that share the phase, feature set and compile pipeline reuse
+ * one compile and one functional run. Every field equals a fresh
+ * build's except the wall clocks in `passes.passRuns`, which come
+ * from the first build.
  *
  * @param timed_uops 0 selects the CISA_SIM_UOPS default
  */

@@ -12,13 +12,12 @@
 #include "common/parallel.hh"
 #include "compiler/compiler.hh"
 #include "compiler/exec.hh"
-#include "compiler/interp.hh"
 #include "migration/translate.hh"
 #include "power/energy.hh"
 #include "uarch/batch.hh"
 #include "uarch/core.hh"
 #include "uarch/replay.hh"
-#include "workloads/synth.hh"
+#include "workloads/artifact.hh"
 
 namespace cisa
 {
@@ -302,17 +301,13 @@ computeSlabPerf(int slab, SlabEngine engine,
     }
 
     // Stage 1: compile and functionally execute each phase exactly
-    // once; the trace is shared read-only by every simulation below.
-    //
-    // A cell only ever consumes the first (warm + timed) uops of a
-    // trace — at least one uop per macro-op, so (warm + timed) + 1
-    // stored ops bound every simulation below (+1 so the final
-    // consumed op still has a real successor target). Composite
-    // slabs therefore cap *recording* there while the run executes
-    // to completion for the per-run op count (Trace::dyn.macroOps,
-    // which equals ops.size() for an uncapped, untruncated run).
-    // Vendor slabs keep full recording: vendorAdjustTrace rewrites
-    // the whole trace and its output length feeds run_ops.
+    // once (buildPhaseArtifact, uncached: nothing outlives the slab
+    // but the trace); the trace is shared read-only by every
+    // simulation below. It stores only the stage1RecordCap prefix a
+    // cell can read while trace.dyn covers the whole run, whose
+    // macro-op count scales a simulated window to one run. Vendor
+    // slabs rescale the stored ops' pcs and lengths
+    // (vendorAdjustTrace), which leaves that count alone.
     //
     // Replay preprocessing is folded into the same loop: as soon as
     // a phase's trace lands, this task packs it and fans its stream
@@ -321,10 +316,10 @@ computeSlabPerf(int slab, SlabEngine engine,
     // at a serial barrier. Declaration order matters: traces/packed/
     // streams precede the group, so an unwinding exception drains
     // the in-flight builds before their inputs and outputs die.
-    uint64_t record_cap =
-        is_vendor ? ~uint64_t(0) : warm + timed + 1;
+    CompileOptions opts = CompileOptions::fromEnv();
+    opts.target = fs;
+    uint64_t record_cap = stage1RecordCap(timed);
     std::vector<Trace> traces(phases);
-    std::vector<double> run_ops(phases, 0.0);
     std::vector<ReplayTrace> packed(replay ? phases : 0);
     std::vector<std::vector<StructuralStream>> streams(
         replay ? phases : 0,
@@ -332,22 +327,10 @@ computeSlabPerf(int slab, SlabEngine engine,
     TaskGroup streamTasks;
     parallelFor(phases, [&](uint64_t p) {
         checkCancel(cancel);
-        int ph = int(p);
-        const IrModule &mod = phaseModule(ph);
-        CompileOptions opts = CompileOptions::fromEnv();
-        opts.target = fs;
-        IrModule ir;
-        MachineProgram prog = compile(mod, opts, nullptr, &ir);
-        MemImage img = MemImage::build(ir, fs.widthBits());
-        Trace trace;
-        executeMachine(prog, img, 1ULL << 31, &trace, 1ULL << 21,
-                       record_cap);
-        panic_if(trace.truncated,
-                 "phase %d trace truncated; shrink targetDynOps", ph);
+        Trace trace =
+            buildPhaseArtifact(int(p), opts, record_cap).trace;
         if (is_vendor && vm.codeSizeFactor != 1.0)
             trace = vendorAdjustTrace(trace, vm.codeSizeFactor);
-        run_ops[p] = is_vendor ? double(trace.ops.size())
-                               : double(trace.dyn.macroOps);
         traces[p] = std::move(trace);
         if (!replay)
             return;
@@ -371,6 +354,30 @@ computeSlabPerf(int slab, SlabEngine engine,
         nSaved{0};
     std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
                                  phases);
+    auto coreOf = [&](int u) {
+        DesignPoint dp = is_vendor
+                             ? DesignPoint::vendorPoint(vm.kind, u)
+                             : DesignPoint::composite(slab, u);
+        return dp.coreConfig();
+    };
+    // Scale one cell's solo and contended windows to a whole run of
+    // its phase: seconds and joules per run.
+    auto foldCell = [&](const CoreConfig &cc, int ph,
+                        const PerfResult &rs, const PerfResult &rm) {
+        const VendorModel *vmodel = is_vendor ? &vm : nullptr;
+        double run_ops = double(traces[size_t(ph)].dyn.macroOps);
+        auto perRun = [&](const PerfResult &r, float *time,
+                          float *energy) {
+            double scale = run_ops / double(r.stats.macroOps);
+            *time = float(secondsOf(r.cycles) * scale);
+            *energy = float(
+                coreEnergy(cc, r.stats, vmodel).total() * scale);
+        };
+        PhasePerf out;
+        perRun(rs, &out.timePerRun, &out.energyPerRun);
+        perRun(rm, &out.timePerRunMp, &out.energyPerRunMp);
+        return out;
+    };
 
     if (mode == SlabEngine::Batch) {
         // Group cells by structural slice: every member consumes the
@@ -416,13 +423,8 @@ computeSlabPerf(int slab, SlabEngine engine,
                 streams[size_t(bt.ph)][size_t(bt.si)];
             std::vector<CoreConfig> ccs;
             ccs.reserve(g);
-            for (size_t i = bt.begin; i < bt.end; i++) {
-                int u = mem[i];
-                DesignPoint dp =
-                    is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                              : DesignPoint::composite(slab, u);
-                ccs.push_back(dp.coreConfig());
-            }
+            for (size_t i = bt.begin; i < bt.end; i++)
+                ccs.push_back(coreOf(mem[i]));
             auto slot = [&](size_t i) {
                 return (size_t(mem[i]) * phases + size_t(bt.ph)) *
                            2 +
@@ -448,34 +450,9 @@ computeSlabPerf(int slab, SlabEngine engine,
 
         parallelFor(cells.size(), [&](uint64_t k) {
             checkCancel(cancel);
-            int u = int(k / phases);
-            int ph = int(k % phases);
-            DesignPoint dp =
-                is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                          : DesignPoint::composite(slab, u);
-            CoreConfig cc = dp.coreConfig();
-            const PerfResult &rs = sims[k * 2 + 0];
-            const PerfResult &rm = sims[k * 2 + 1];
-            PhasePerf out;
-
-            double scale =
-                run_ops[size_t(ph)] / double(rs.stats.macroOps);
-            out.timePerRun = float(secondsOf(rs.cycles) * scale);
-            out.energyPerRun = float(
-                coreEnergy(cc, rs.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale);
-
-            double scale_m =
-                run_ops[size_t(ph)] / double(rm.stats.macroOps);
-            out.timePerRunMp =
-                float(secondsOf(rm.cycles) * scale_m);
-            out.energyPerRunMp = float(
-                coreEnergy(cc, rm.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale_m);
-
-            cells[k] = out;
+            cells[k] = foldCell(coreOf(int(k / phases)),
+                                int(k % phases), sims[k * 2 + 0],
+                                sims[k * 2 + 1]);
         });
     } else {
         // Per-cell engines: one task per (uarch, phase) cell — solo
@@ -486,12 +463,8 @@ computeSlabPerf(int slab, SlabEngine engine,
             checkCancel(cancel);
             int u = int(k / phases);
             int ph = int(k % phases);
-            DesignPoint dp =
-                is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                          : DesignPoint::composite(slab, u);
-            CoreConfig cc = dp.coreConfig();
+            CoreConfig cc = coreOf(u);
             const Trace &trace = traces[size_t(ph)];
-            PhasePerf out;
 
             PerfResult rs, rm;
             if (replay) {
@@ -509,25 +482,7 @@ computeSlabPerf(int slab, SlabEngine engine,
             }
             nPerCell.fetch_add(2, std::memory_order_relaxed);
             nWalks.fetch_add(2, std::memory_order_relaxed);
-
-            double scale =
-                run_ops[size_t(ph)] / double(rs.stats.macroOps);
-            out.timePerRun = float(secondsOf(rs.cycles) * scale);
-            out.energyPerRun = float(
-                coreEnergy(cc, rs.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale);
-
-            double scale_m =
-                run_ops[size_t(ph)] / double(rm.stats.macroOps);
-            out.timePerRunMp =
-                float(secondsOf(rm.cycles) * scale_m);
-            out.energyPerRunMp = float(
-                coreEnergy(cc, rm.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale_m);
-
-            cells[k] = out;
+            cells[k] = foldCell(cc, ph, rs, rm);
         });
     }
 

@@ -1,12 +1,10 @@
 #include "migration/cost.hh"
 
 #include "common/env.hh"
-#include "common/logging.hh"
 #include "compiler/compiler.hh"
-#include "compiler/interp.hh"
 #include "migration/translate.hh"
 #include "uarch/core.hh"
-#include "workloads/synth.hh"
+#include "workloads/artifact.hh"
 
 namespace cisa
 {
@@ -15,8 +13,6 @@ DowngradeCost
 measureDowngrade(int phase_idx, const FeatureSet &code_fs,
                  const FeatureSet &core_fs, const MicroArchConfig &ua)
 {
-    const IrModule &m = phaseModule(phase_idx);
-
     // Share the campaign's pipeline configuration (opt level, pass
     // override, verify mode) so downgrade costs are measured on the
     // same code the explorer scores.
@@ -26,49 +22,51 @@ measureDowngrade(int phase_idx, const FeatureSet &code_fs,
     // SIMD-less cores, so the downgrade experiment measures the
     // scalar build (Section VII.D).
     opts.enableVectorize &= code_fs.simd() && core_fs.simd();
-    IrModule ir;
-    MachineProgram prog = compile(m, opts, nullptr, &ir);
 
     uint64_t timed = simUopBudget();
     uint64_t warm = simWarmupUops();
 
-    // Native execution on a code_fs core.
-    MemImage img_native = MemImage::build(ir, code_fs.widthBits());
-    Trace native;
-    executeMachine(prog, img_native, 1ULL << 30, &native);
-    panic_if(native.truncated, "native trace truncated");
+    // Native execution on a code_fs core: the memoized artifact.
+    std::shared_ptr<const PhaseArtifact> native =
+        phaseArtifact(phase_idx, opts);
     CoreConfig native_core{code_fs, ua};
-    PerfResult base = simulateCore(native_core, native, timed, warm);
-    double base_time =
-        double(base.cycles) / double(base.stats.macroOps) *
-        double(native.ops.size());
+    PerfResult base =
+        simulateCore(native_core, native->trace, timed, warm);
+    double base_time = double(base.cycles) /
+                       double(base.stats.macroOps) *
+                       double(native->runOps());
 
     // Downgraded execution on the constrained core.
     DowngradeStats dst;
-    MachineProgram down = prog;
     bool needs_binary =
         core_fs.regDepth < code_fs.regDepth ||
         (core_fs.complexity == Complexity::MicroX86 &&
          code_fs.complexity == Complexity::X86) ||
         (!core_fs.fullPredication() && code_fs.fullPredication());
-    MemImage img_down = MemImage::build(ir, code_fs.widthBits());
-    if (needs_binary)
-        down = downgradeProgram(prog, core_fs, img_down.stackBase,
-                                &dst);
-    Trace downgraded;
-    executeMachine(down, img_down, 1ULL << 30, &downgraded);
-    panic_if(downgraded.truncated, "downgraded trace truncated");
-    if (core_fs.width == RegWidth::W32 &&
-        code_fs.width == RegWidth::W64) {
-        downgraded = downgradeWidthTrace(downgraded, &dst);
+    bool needs_width = core_fs.width == RegWidth::W32 &&
+                       code_fs.width == RegWidth::W64;
+    MachineProgram translated;
+    const MachineProgram *down = &native->program;
+    if (needs_binary) {
+        uint64_t rcb =
+            phaseImage(phase_idx, code_fs.widthBits()).stackBase;
+        translated =
+            downgradeProgram(native->program, core_fs, rcb, &dst);
+        down = &translated;
     }
+    // Long-mode emulation rewrites the whole run (and counts every
+    // expansion), so only a width downgrade records every op.
+    Trace downgraded = runPhaseProgram(
+        phase_idx, *down, needs_width ? ~uint64_t(0) : stage1RecordCap());
+    if (needs_width)
+        downgraded = downgradeWidthTrace(downgraded, &dst);
 
     // The constrained core: core_fs features, same microarchitecture.
     CoreConfig down_core{core_fs, ua};
     PerfResult got = simulateCore(down_core, downgraded, timed, warm);
     double down_time =
         double(got.cycles) / double(got.stats.macroOps) *
-        double(downgraded.ops.size());
+        double(downgraded.dyn.macroOps);
 
     DowngradeCost out;
     out.slowdown = down_time / base_time - 1.0;

@@ -873,9 +873,14 @@ TEST(Executor, DrainFinishesWorkThenRejects)
     }
     while (gate.invocations.load() < 2)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Both workers are held; the third client must be queued before
+    // the drain starts, or the drain turns it away as Busy.
+    while (exec.queueDepth() != 1)
+        std::this_thread::yield();
 
     std::thread drainer([&] { exec.drain(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    while (!exec.draining())
+        std::this_thread::yield();
     // Draining: new work is rejected...
     EXPECT_EQ(exec.call(Request::slabPerf(9)).status, Status::Busy);
     // ...but queued and running work still completes.
