@@ -9,7 +9,10 @@
 # arithmetic are exactly the kind of integer code UBSan catches
 # overflowing, and the golden O1 test pins the whole mid-end. The
 # stage-1 artifact test covers the shared image templates and the
-# build-once memo that concurrent evaluations race on.
+# build-once memo that concurrent evaluations race on. The parallel
+# test checks the one production slab path (stage-1 fan-out, stream
+# TaskGroup, lockstep walks, fold) at 1 and 4 threads and against the
+# live per-cell oracle, so TSan sees the slab's whole pool fan-out.
 #
 # Not registered with ctest (it configures and builds three extra
 # trees); run it by hand or from CI:
@@ -21,7 +24,7 @@ jobs="${1:-$(nproc 2>/dev/null || echo 4)}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
 tests="test_faultinject test_slabstore test_service test_passes \
-test_compile_units test_artifact"
+test_compile_units test_artifact test_parallel"
 
 run_config() {
     name="$1"

@@ -129,18 +129,6 @@ dseCacheReadonly()
     return envInt("CISA_DSE_READONLY", 0) != 0;
 }
 
-bool
-replayEnabled()
-{
-    return envInt("CISA_REPLAY", 1) != 0;
-}
-
-bool
-batchEnabled()
-{
-    return envInt("CISA_BATCH", 1) != 0;
-}
-
 int
 batchWidth()
 {

@@ -59,15 +59,6 @@ std::string dseCachePath();
  * quarantines the store file. */
 bool dseCacheReadonly();
 
-/** Whether the campaign uses the memoized replay engine
- * (CISA_REPLAY, default on; results are bit-identical either way). */
-bool replayEnabled();
-
-/** Whether the campaign batches replay cells into lockstep groups
- * (CISA_BATCH, default on; requires the replay engine and is
- * bit-identical to the per-cell paths either way). */
-bool batchEnabled();
-
 /** Upper bound on cells advanced by one lockstep trace walk
  * (CISA_BATCH_WIDTH, default 64): larger groups amortize the walk
  * further, smaller ones expose more (phase, group) tasks to the

@@ -185,7 +185,7 @@ Campaign::ensureSlab(int slab, const CancelToken *cancel)
     std::vector<PhasePerf> cells;
     EngineHealth eh;
     try {
-        cells = computeSlabPerf(slab, SlabEngine::Auto, cancel, &eh);
+        cells = computeSlabPerf(slab, cancel, &eh);
     } catch (...) {
         lk.lock();
         computing_[size_t(slab)] = false;
@@ -220,52 +220,52 @@ Campaign::ensureSlab(int slab, const CancelToken *cancel)
                   cells.size() * 4);
 }
 
+PhasePerf
+foldPhasePerf(const DesignPoint &dp, uint64_t runOps,
+              const PerfResult &solo, const PerfResult &contended)
+{
+    CoreConfig cc = dp.coreConfig();
+    VendorModel vm = dp.vendorModel();
+    const VendorModel *vendor =
+        dp.vendor == VendorIsa::Composite ? nullptr : &vm;
+    auto perRun = [&](const PerfResult &r, float *time,
+                      float *energy) {
+        double scale = double(runOps) / double(r.stats.macroOps);
+        *time = float(secondsOf(r.cycles) * scale);
+        *energy =
+            float(coreEnergy(cc, r.stats, vendor).total() * scale);
+    };
+    PhasePerf out;
+    perRun(solo, &out.timePerRun, &out.energyPerRun);
+    perRun(contended, &out.timePerRunMp, &out.energyPerRunMp);
+    return out;
+}
+
 std::vector<PhasePerf>
-computeSlabPerf(int slab, SlabEngine engine,
-                const CancelToken *cancel, EngineHealth *health)
+computeSlabPerf(int slab, const CancelToken *cancel,
+                EngineHealth *health)
 {
     checkCancel(cancel);
-    bool is_vendor = slab >= 26;
-    VendorModel vm;
-    FeatureSet fs;
-    if (is_vendor) {
-        VendorIsa v = slab == 26   ? VendorIsa::X86_64
-                      : slab == 27 ? VendorIsa::AlphaLike
-                                   : VendorIsa::ThumbLike;
-        vm = VendorModel::vendor(v);
-        fs = vm.features;
-    } else {
-        fs = FeatureSet::byId(slab);
-        vm = VendorModel::composite(fs);
-    }
+    auto pointOf = [slab](int u) {
+        return DesignPoint::fromRow(slab * DesignPoint::kUarchCount +
+                                    u);
+    };
+    const FeatureSet fs = pointOf(0).isa();
+    const VendorModel vm = pointOf(0).vendorModel();
     inform("campaign: computing slab %d (%s) ...", slab,
            vm.name().c_str());
 
     uint64_t timed = simUopBudget();
     uint64_t warm = simWarmupUops();
-    const RunEnv solo{};
-    const RunEnv mp{0.25, 1.30};
     size_t phases = size_t(phaseCount());
 
-    // Engine selection. Auto honours two env knobs: CISA_REPLAY=0
-    // falls all the way back to the live per-cell engine, otherwise
-    // CISA_BATCH (default on) picks lockstep batches over per-cell
-    // replay. All three produce byte-identical tables.
-    SlabEngine mode = engine;
-    if (mode == SlabEngine::Auto) {
-        mode = !replayEnabled() ? SlabEngine::Live
-               : batchEnabled() ? SlabEngine::Batch
-                                : SlabEngine::Replay;
-    }
-    bool replay = mode != SlabEngine::Live;
-
-    // Structural-slice dedup (replay engines only): one memoized
-    // stream per distinct (cache slice + environment + predictor)
-    // fingerprint instead of one per cell. The 180-config space
-    // collapses onto a handful of structural slices (2 cache
-    // geometries x 3 predictors x 2 environments), so almost all
-    // per-cell cache/predictor work is amortized away. Pure config
-    // arithmetic, so it runs before any trace exists.
+    // Structural-slice dedup: one memoized stream per distinct
+    // (cache slice + environment + predictor) fingerprint instead of
+    // one per cell. The 180-config space collapses onto a handful of
+    // structural slices (2 cache geometries x 3 predictors x 2
+    // environments), so almost all per-cell cache/predictor work is
+    // amortized away. Pure config arithmetic, so it runs before any
+    // trace exists.
     uint64_t max_steps = warm + timed;
     struct StreamSlice
     {
@@ -276,27 +276,25 @@ computeSlabPerf(int slab, SlabEngine engine,
     };
     std::vector<StreamSlice> slices;
     // slice index per (uarch id, env): env 0 = solo, 1 = contended.
-    std::vector<std::array<int, 2>> sliceOf;
-    if (replay) {
-        sliceOf.resize(size_t(DesignPoint::kUarchCount));
-        const RunEnv *envs[2] = {&solo, &mp};
-        for (int u = 0; u < DesignPoint::kUarchCount; u++) {
-            MicroArchConfig ua = MicroArchConfig::byId(u);
-            for (int e = 0; e < 2; e++) {
-                uint64_t key = structuralFingerprint(ua, *envs[e]);
-                int si = -1;
-                for (size_t k = 0; k < slices.size(); k++) {
-                    if (slices[k].key == key) {
-                        si = int(k);
-                        break;
-                    }
+    std::vector<std::array<int, 2>> sliceOf(
+        size_t(DesignPoint::kUarchCount));
+    const RunEnv envs[2] = {RunEnv{}, kContendedEnv};
+    for (int u = 0; u < DesignPoint::kUarchCount; u++) {
+        MicroArchConfig ua = MicroArchConfig::byId(u);
+        for (int e = 0; e < 2; e++) {
+            uint64_t key = structuralFingerprint(ua, envs[e]);
+            int si = -1;
+            for (size_t k = 0; k < slices.size(); k++) {
+                if (slices[k].key == key) {
+                    si = int(k);
+                    break;
                 }
-                if (si < 0) {
-                    si = int(slices.size());
-                    slices.push_back({ua, *envs[e], e, key});
-                }
-                sliceOf[size_t(u)][size_t(e)] = si;
             }
+            if (si < 0) {
+                si = int(slices.size());
+                slices.push_back({ua, envs[e], e, key});
+            }
+            sliceOf[size_t(u)][size_t(e)] = si;
         }
     }
 
@@ -309,31 +307,28 @@ computeSlabPerf(int slab, SlabEngine engine,
     // slabs rescale the stored ops' pcs and lengths
     // (vendorAdjustTrace), which leaves that count alone.
     //
-    // Replay preprocessing is folded into the same loop: as soon as
-    // a phase's trace lands, this task packs it and fans its stream
-    // builds out onto a TaskGroup, so stream construction for early
-    // phases overlaps compilation of late ones instead of waiting
-    // at a serial barrier. Declaration order matters: traces/packed/
-    // streams precede the group, so an unwinding exception drains
-    // the in-flight builds before their inputs and outputs die.
+    // As soon as a phase's trace lands, this task packs it and fans
+    // its stream builds out onto a TaskGroup, so stream construction
+    // for early phases overlaps compilation of late ones instead of
+    // waiting at a serial barrier. Declaration order matters:
+    // traces/packed/streams precede the group, so an unwinding
+    // exception drains the in-flight builds before their inputs and
+    // outputs die.
     CompileOptions opts = CompileOptions::fromEnv();
     opts.target = fs;
     uint64_t record_cap = stage1RecordCap(timed);
     std::vector<Trace> traces(phases);
-    std::vector<ReplayTrace> packed(replay ? phases : 0);
+    std::vector<ReplayTrace> packed(phases);
     std::vector<std::vector<StructuralStream>> streams(
-        replay ? phases : 0,
-        std::vector<StructuralStream>(slices.size()));
+        phases, std::vector<StructuralStream>(slices.size()));
     TaskGroup streamTasks;
     parallelFor(phases, [&](uint64_t p) {
         checkCancel(cancel);
         Trace trace =
             buildPhaseArtifact(int(p), opts, record_cap).trace;
-        if (is_vendor && vm.codeSizeFactor != 1.0)
+        if (vm.codeSizeFactor != 1.0)
             trace = vendorAdjustTrace(trace, vm.codeSizeFactor);
         traces[p] = std::move(trace);
-        if (!replay)
-            return;
         packed[p] = ReplayTrace::build(traces[p], max_steps);
         for (size_t si = 0; si < slices.size(); si++) {
             streamTasks.run([&, p, si] {
@@ -347,144 +342,82 @@ computeSlabPerf(int slab, SlabEngine engine,
     });
     streamTasks.wait();
 
-    // Stage 2: simulate every (uarch, phase, env) cell and fold the
-    // results into PhasePerf. Counters are advisory (relaxed): each
+    // Stage 2: group cells by structural slice. Every member consumes
+    // the identical stream, so one lockstep walk advances them all
+    // (src/uarch/batch.hh). Tasks are (phase, slice, chunk);
+    // CISA_BATCH_WIDTH caps a chunk so one giant group cannot
+    // serialize the pool. Counters are advisory (relaxed): each
     // output slot is still written by exactly one task.
-    std::atomic<uint64_t> nBatched{0}, nPerCell{0}, nWalks{0},
-        nSaved{0};
-    std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
-                                 phases);
-    auto coreOf = [&](int u) {
-        DesignPoint dp = is_vendor
-                             ? DesignPoint::vendorPoint(vm.kind, u)
-                             : DesignPoint::composite(slab, u);
-        return dp.coreConfig();
+    std::vector<std::vector<int>> members(slices.size());
+    for (int u = 0; u < DesignPoint::kUarchCount; u++)
+        for (int e = 0; e < 2; e++)
+            members[size_t(sliceOf[size_t(u)][size_t(e)])].push_back(u);
+    struct BatchTask
+    {
+        int ph, si;
+        size_t begin, end; ///< range within members[si]
     };
-    // Scale one cell's solo and contended windows to a whole run of
-    // its phase: seconds and joules per run.
-    auto foldCell = [&](const CoreConfig &cc, int ph,
-                        const PerfResult &rs, const PerfResult &rm) {
-        const VendorModel *vmodel = is_vendor ? &vm : nullptr;
-        double run_ops = double(traces[size_t(ph)].dyn.macroOps);
-        auto perRun = [&](const PerfResult &r, float *time,
-                          float *energy) {
-            double scale = run_ops / double(r.stats.macroOps);
-            *time = float(secondsOf(r.cycles) * scale);
-            *energy = float(
-                coreEnergy(cc, r.stats, vmodel).total() * scale);
-        };
-        PhasePerf out;
-        perRun(rs, &out.timePerRun, &out.energyPerRun);
-        perRun(rm, &out.timePerRunMp, &out.energyPerRunMp);
-        return out;
-    };
-
-    if (mode == SlabEngine::Batch) {
-        // Group cells by structural slice: every member consumes the
-        // identical stream, so one lockstep walk advances them all
-        // (src/uarch/batch.hh). Tasks are (phase, slice, chunk);
-        // CISA_BATCH_WIDTH caps a chunk so one giant group cannot
-        // serialize the pool.
-        std::vector<std::vector<int>> members(slices.size());
-        for (int u = 0; u < DesignPoint::kUarchCount; u++)
-            for (int e = 0; e < 2; e++)
-                members[size_t(sliceOf[size_t(u)][size_t(e)])]
-                    .push_back(u);
-        struct BatchTask
-        {
-            int ph, si;
-            size_t begin, end; ///< range within members[si]
-        };
-        size_t bw = size_t(batchWidth());
-        std::vector<BatchTask> tasks;
-        for (int ph = 0; ph < int(phases); ph++) {
-            for (size_t si = 0; si < slices.size(); si++) {
-                for (size_t b = 0; b < members[si].size(); b += bw) {
-                    tasks.push_back(
-                        {ph, int(si), b,
-                         std::min(members[si].size(), b + bw)});
-                }
+    size_t bw = size_t(batchWidth());
+    std::vector<BatchTask> tasks;
+    for (int ph = 0; ph < int(phases); ph++) {
+        for (size_t si = 0; si < slices.size(); si++) {
+            for (size_t b = 0; b < members[si].size(); b += bw) {
+                tasks.push_back({ph, int(si), b,
+                                 std::min(members[si].size(), b + bw)});
             }
         }
-
-        // Intermediate per-sim results, indexed (u*phases+ph)*2+env;
-        // a second pass folds them into PhasePerf so the fold math
-        // stays in one place and cells[] keeps its one-writer rule.
-        std::vector<PerfResult> sims(
-            size_t(DesignPoint::kUarchCount) * phases * 2);
-        parallelFor(tasks.size(), [&](uint64_t t) {
-            checkCancel(cancel);
-            const BatchTask &bt = tasks[t];
-            const StreamSlice &sl = slices[size_t(bt.si)];
-            const std::vector<int> &mem = members[size_t(bt.si)];
-            size_t g = bt.end - bt.begin;
-            const ReplayTrace &pk = packed[size_t(bt.ph)];
-            const StructuralStream &ss =
-                streams[size_t(bt.ph)][size_t(bt.si)];
-            std::vector<CoreConfig> ccs;
-            ccs.reserve(g);
-            for (size_t i = bt.begin; i < bt.end; i++)
-                ccs.push_back(coreOf(mem[i]));
-            auto slot = [&](size_t i) {
-                return (size_t(mem[i]) * phases + size_t(bt.ph)) *
-                           2 +
-                       size_t(sl.envIdx);
-            };
-            if (g == 1) {
-                // Singleton group: the per-cell path is the same
-                // walk without the batch setup.
-                sims[slot(bt.begin)] = simulateCoreReplay(
-                    ccs[0], pk, ss, timed, warm, sl.env);
-                nPerCell.fetch_add(1, std::memory_order_relaxed);
-                nWalks.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            std::vector<PerfResult> rs = simulateCoreBatch(
-                ccs.data(), g, pk, ss, timed, warm, sl.env);
-            for (size_t i = 0; i < g; i++)
-                sims[slot(bt.begin + i)] = rs[i];
-            nBatched.fetch_add(g, std::memory_order_relaxed);
-            nWalks.fetch_add(1, std::memory_order_relaxed);
-            nSaved.fetch_add(g - 1, std::memory_order_relaxed);
-        });
-
-        parallelFor(cells.size(), [&](uint64_t k) {
-            checkCancel(cancel);
-            cells[k] = foldCell(coreOf(int(k / phases)),
-                                int(k % phases), sims[k * 2 + 0],
-                                sims[k * 2 + 1]);
-        });
-    } else {
-        // Per-cell engines: one task per (uarch, phase) cell — solo
-        // and contended environments together, so exactly one task
-        // writes each cell and the result is thread-count
-        // independent.
-        parallelFor(cells.size(), [&](uint64_t k) {
-            checkCancel(cancel);
-            int u = int(k / phases);
-            int ph = int(k % phases);
-            CoreConfig cc = coreOf(u);
-            const Trace &trace = traces[size_t(ph)];
-
-            PerfResult rs, rm;
-            if (replay) {
-                const ReplayTrace &pk = packed[size_t(ph)];
-                const auto &ss = streams[size_t(ph)];
-                rs = simulateCoreReplay(
-                    cc, pk, ss[size_t(sliceOf[size_t(u)][0])],
-                    timed, warm, solo);
-                rm = simulateCoreReplay(
-                    cc, pk, ss[size_t(sliceOf[size_t(u)][1])],
-                    timed, warm, mp);
-            } else {
-                rs = simulateCore(cc, trace, timed, warm, solo);
-                rm = simulateCore(cc, trace, timed, warm, mp);
-            }
-            nPerCell.fetch_add(2, std::memory_order_relaxed);
-            nWalks.fetch_add(2, std::memory_order_relaxed);
-            cells[k] = foldCell(cc, ph, rs, rm);
-        });
     }
+
+    // Intermediate per-sim results, indexed (u*phases+ph)*2+env; the
+    // fold below turns them into PhasePerf so cells[] keeps its
+    // one-writer rule.
+    std::atomic<uint64_t> nBatched{0}, nPerCell{0}, nWalks{0},
+        nSaved{0};
+    std::vector<PerfResult> sims(size_t(DesignPoint::kUarchCount) *
+                                 phases * 2);
+    parallelFor(tasks.size(), [&](uint64_t t) {
+        checkCancel(cancel);
+        const BatchTask &bt = tasks[t];
+        const StreamSlice &sl = slices[size_t(bt.si)];
+        const std::vector<int> &mem = members[size_t(bt.si)];
+        size_t g = bt.end - bt.begin;
+        const ReplayTrace &pk = packed[size_t(bt.ph)];
+        const StructuralStream &ss =
+            streams[size_t(bt.ph)][size_t(bt.si)];
+        std::vector<CoreConfig> ccs;
+        ccs.reserve(g);
+        for (size_t i = bt.begin; i < bt.end; i++)
+            ccs.push_back(pointOf(mem[i]).coreConfig());
+        auto slot = [&](size_t i) {
+            return (size_t(mem[i]) * phases + size_t(bt.ph)) * 2 +
+                   size_t(sl.envIdx);
+        };
+        if (g == 1) {
+            // Singleton chunk: the per-cell walk without the batch
+            // setup.
+            sims[slot(bt.begin)] = simulateCoreReplay(
+                ccs[0], pk, ss, timed, warm, sl.env);
+            nPerCell.fetch_add(1, std::memory_order_relaxed);
+            nWalks.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        std::vector<PerfResult> rs = simulateCoreBatch(
+            ccs.data(), g, pk, ss, timed, warm, sl.env);
+        for (size_t i = 0; i < g; i++)
+            sims[slot(bt.begin + i)] = rs[i];
+        nBatched.fetch_add(g, std::memory_order_relaxed);
+        nWalks.fetch_add(1, std::memory_order_relaxed);
+        nSaved.fetch_add(g - 1, std::memory_order_relaxed);
+    });
+
+    std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
+                                 phases);
+    parallelFor(cells.size(), [&](uint64_t k) {
+        checkCancel(cancel);
+        cells[k] = foldPhasePerf(pointOf(int(k / phases)),
+                                 traces[k % phases].dyn.macroOps,
+                                 sims[k * 2 + 0], sims[k * 2 + 1]);
+    });
 
     if (health) {
         health->cellsBatched +=

@@ -40,28 +40,34 @@ struct PhasePerf
     float energyPerRunMp = 0;
 };
 
-/** Which simulation engine computeSlabPerf runs its cells on. */
-enum class SlabEngine
-{
-    Auto,   ///< CISA_REPLAY + CISA_BATCH env knobs (default: Batch)
-    Live,   ///< simulateCore per cell (the seed path)
-    Replay, ///< packed traces + memoized structural streams, per cell
-    Batch,  ///< replay inputs, lockstep cell groups (uarch/batch.hh)
-};
+/**
+ * The environment of PhasePerf's contended half: a quartered shared-L2
+ * share and 30% DRAM latency inflation (4-way contention).
+ */
+inline constexpr RunEnv kContendedEnv{0.25, 1.30};
 
 /**
- * Engine-mode counters of the slab kernel: how many cell simulations
- * ran inside a lockstep batch vs on a per-cell path (replay, live,
- * or single-cell batch fallback), and how many trace walks that cost
- * vs saved (walksSaved = batched sims that shared another sim's
- * walk). Accumulated per computeSlabPerf call and, campaign-wide,
- * surfaced through Campaign::engineHealth() and the cisa-serve stats
- * endpoint.
+ * Fold one cell's solo and contended simulation windows into
+ * PhasePerf: each window's seconds and joules scaled up to one whole
+ * run of the phase (@p runOps macro-ops, Trace::dyn.macroOps). Vendor
+ * points are charged their vendor-exclusive traits (coreEnergy).
+ */
+PhasePerf foldPhasePerf(const DesignPoint &dp, uint64_t runOps,
+                        const PerfResult &solo,
+                        const PerfResult &contended);
+
+/**
+ * Counters of the slab kernel: how many cell simulations ran inside a
+ * lockstep batch vs alone (a singleton chunk, which walks through
+ * simulateCoreReplay), and how many trace walks that cost vs saved
+ * (walksSaved = batched sims that shared another sim's walk).
+ * Accumulated per computeSlabPerf call and, campaign-wide, surfaced
+ * through Campaign::engineHealth() and the cisa-serve stats endpoint.
  */
 struct EngineHealth
 {
     uint64_t cellsBatched = 0; ///< sims advanced by a lockstep walk
-    uint64_t cellsPerCell = 0; ///< sims on a per-cell path
+    uint64_t cellsPerCell = 0; ///< sims of singleton chunks
     uint64_t walksDone = 0;    ///< trace walks actually performed
     uint64_t walksSaved = 0;   ///< walks amortized away by batching
 };
@@ -70,26 +76,25 @@ struct EngineHealth
  * Compute one slab's full PhasePerf block: every (microarchitecture,
  * phase) cell of one ISA (or vendor), laid out uarch-major —
  * entry [u * phaseCount() + ph] — exactly the contiguous region the
- * slab occupies inside Campaign's table. Phases are compiled and
- * functionally executed once each, then all cells are simulated on
- * the process thread pool; results are bit-identical at any
- * CISA_THREADS because each cell is written by exactly one task and
- * nothing on the parallel path shares an RNG — and bit-identical
- * across SlabEngine choices, because the replay engine memoizes only
- * timing-independent structural streams (see src/uarch/replay.hh).
- * Exposed outside Campaign so determinism tests and the campaign
- * bench can time the computation without going through the
- * singleton's disk cache.
+ * slab occupies inside Campaign's table. Each phase is compiled and
+ * functionally executed once and packed for replay; cells sharing a
+ * structural slice (src/uarch/replay.hh) then advance together in
+ * lockstep walks (src/uarch/batch.hh) on the process thread pool.
+ * Results are bit-identical at any CISA_THREADS and CISA_BATCH_WIDTH,
+ * because each cell is written by exactly one task and nothing on
+ * the parallel path shares an RNG, and bit-identical to simulating
+ * every cell alone with simulateCore (the live reference the tests
+ * hold it to). Exposed outside Campaign so tests and perfbench can
+ * compute a slab without going through the singleton's disk cache.
  *
- * @p cancel (optional) is polled at phase/cell boundaries; an
+ * @p cancel (optional) is polled at phase/task boundaries; an
  * expired token aborts with Cancelled and leaves no partial state.
  * An uncancelled run is byte-identical with or without a token.
- * @p health (optional) has this run's engine-mode counters added to
- * it on success.
+ * @p health (optional) has this run's counters added to it on
+ * success.
  */
 std::vector<PhasePerf> computeSlabPerf(
-    int slab, SlabEngine engine = SlabEngine::Auto,
-    const CancelToken *cancel = nullptr,
+    int slab, const CancelToken *cancel = nullptr,
     EngineHealth *health = nullptr);
 
 /**
@@ -130,7 +135,9 @@ class Campaign
     std::vector<PhasePerf> slabPerf(
         int slab, const CancelToken *cancel = nullptr);
 
-    /** Slab index of a design point. */
+    /** Slab index of a design point. Rows are laid out slab-major,
+     * so DesignPoint::fromRow(slab * DesignPoint::kUarchCount + u)
+     * is cell u of the slab. */
     static int slabOf(const DesignPoint &dp);
 
     /** Number of slabs (26 composite + 3 vendor). */

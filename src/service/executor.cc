@@ -353,14 +353,10 @@ namespace
 std::string
 renderSlabTable(int slab, const std::vector<PhasePerf> &cells)
 {
-    bool is_vendor = slab >= 26;
     std::string isa_name =
-        is_vendor
-            ? VendorModel::vendor(slab == 26   ? VendorIsa::X86_64
-                                  : slab == 27 ? VendorIsa::AlphaLike
-                                             : VendorIsa::ThumbLike)
-                  .name()
-            : VendorModel::composite(FeatureSet::byId(slab)).name();
+        DesignPoint::fromRow(slab * DesignPoint::kUarchCount)
+            .vendorModel()
+            .name();
     Table t(strfmt("slab %d (%s): per-uarch geomean over %d phases",
                    slab, isa_name.c_str(), phaseCount()));
     t.header({"uarch", "t_solo(s)", "e_solo(J)", "t_mp(s)",

@@ -275,18 +275,9 @@ TEST(Env, KnobsSurviveGarbageValues)
 
 TEST(Env, BatchKnobs)
 {
-    // Defaults: batching on, 64-cell chunks.
-    unsetenv("CISA_BATCH");
+    // Default: 64-cell chunks.
     unsetenv("CISA_BATCH_WIDTH");
-    EXPECT_TRUE(batchEnabled());
     EXPECT_EQ(batchWidth(), 64);
-
-    setenv("CISA_BATCH", "0", 1);
-    EXPECT_FALSE(batchEnabled());
-    setenv("CISA_BATCH", "1", 1);
-    EXPECT_TRUE(batchEnabled());
-    setenv("CISA_BATCH", "garbage", 1);
-    EXPECT_TRUE(batchEnabled()); // malformed -> documented default
 
     setenv("CISA_BATCH_WIDTH", "4", 1);
     EXPECT_EQ(batchWidth(), 4);
@@ -306,7 +297,6 @@ TEST(Env, BatchKnobs)
     setenv("CISA_BATCH_SIMD", "bogus", 1);
     EXPECT_TRUE(batchSimdEnabled());
 
-    unsetenv("CISA_BATCH");
     unsetenv("CISA_BATCH_WIDTH");
     unsetenv("CISA_BATCH_SIMD");
 }

@@ -37,6 +37,7 @@ struct EnvSetup
 #include "explore/campaign.hh"
 #include "explore/schedule.hh"
 #include "explore/search.hh"
+#include "slab_oracle.hh"
 
 namespace cisa
 {
@@ -67,6 +68,18 @@ TEST(DesignPoint, RowRoundTrip)
         DesignPoint::vendorPoint(VendorIsa::ThumbLike, 17);
     EXPECT_EQ(DesignPoint::fromRow(v.row()), v);
     EXPECT_GE(v.row(), DesignPoint::kCompositeRows);
+
+    // Rows are slab-major: row slab * kUarchCount + u is cell u of
+    // that slab, which is how computeSlabPerf and the Table endpoint
+    // name a slab's design points.
+    for (int s = 0; s < Campaign::kSlabs; s++) {
+        for (int u = 0; u < DesignPoint::kUarchCount; u++) {
+            DesignPoint dp = DesignPoint::fromRow(
+                s * DesignPoint::kUarchCount + u);
+            ASSERT_EQ(Campaign::slabOf(dp), s) << "uarch " << u;
+            ASSERT_EQ(dp.uarchId, u);
+        }
+    }
 }
 
 TEST(DesignPoint, CostsArePositive)
@@ -162,73 +175,53 @@ sameCells(const std::vector<PhasePerf> &a,
                        a.size() * sizeof(PhasePerf)) == 0;
 }
 
-TEST(Campaign, EngineChoicesAreByteIdenticalAtAnyThreads)
+TEST(Campaign, SlabMatchesLiveOracleAtAnyThreadsAndWidths)
 {
-    // One slab through every engine: the live reference, per-cell
-    // replay, and the batched lockstep engine must produce the same
-    // bytes — serially and on a 4-lane pool (each cell is written by
-    // exactly one task, so thread count must not matter).
-    std::vector<PhasePerf> live, replay, batch;
-    EngineHealth ehb;
+    // The batched lockstep engine must reproduce the live per-cell
+    // reference byte for byte — serially and on a 4-lane pool (each
+    // cell is written by exactly one task, so thread count must not
+    // matter).
+    std::vector<PhasePerf> live = liveSlabPerf(x64Isa());
+    std::vector<PhasePerf> serial;
+    EngineHealth eh1;
     {
-        ScopedThreadLimit serial(1);
-        live = computeSlabPerf(x64Isa(), SlabEngine::Live);
-        replay = computeSlabPerf(x64Isa(), SlabEngine::Replay);
-        batch = computeSlabPerf(x64Isa(), SlabEngine::Batch,
-                                nullptr, &ehb);
+        ScopedThreadLimit one(1);
+        serial = computeSlabPerf(x64Isa(), nullptr, &eh1);
     }
-    EXPECT_TRUE(sameCells(live, replay));
-    EXPECT_TRUE(sameCells(live, batch));
+    EXPECT_TRUE(sameCells(live, serial));
 
     // Engine accounting: every (uarch, phase, env) sim is either
-    // batched or per-cell, and each saved walk came out of a batch.
+    // batched or a singleton chunk, and each saved walk came out of
+    // a batch.
     uint64_t sims = uint64_t(DesignPoint::kUarchCount) *
                     uint64_t(phaseCount()) * 2;
-    EXPECT_EQ(ehb.cellsBatched + ehb.cellsPerCell, sims);
-    EXPECT_GT(ehb.cellsBatched, ehb.cellsPerCell);
-    EXPECT_EQ(ehb.walksDone + ehb.walksSaved, sims);
-    EXPECT_GT(ehb.walksSaved, 0u);
+    EXPECT_EQ(eh1.cellsBatched + eh1.cellsPerCell, sims);
+    EXPECT_GT(eh1.cellsBatched, eh1.cellsPerCell);
+    EXPECT_EQ(eh1.walksDone + eh1.walksSaved, sims);
+    EXPECT_GT(eh1.walksSaved, 0u);
 
     ScopedThreadLimit four(4);
     EngineHealth eh4;
-    std::vector<PhasePerf> batch4 = computeSlabPerf(
-        x64Isa(), SlabEngine::Batch, nullptr, &eh4);
-    EXPECT_TRUE(sameCells(live, batch4));
+    std::vector<PhasePerf> pool =
+        computeSlabPerf(x64Isa(), nullptr, &eh4);
+    EXPECT_TRUE(sameCells(live, pool));
     // The (phase, slice, chunk) decomposition is thread-independent,
     // so the counters are too.
-    EXPECT_EQ(eh4.cellsBatched, ehb.cellsBatched);
-    EXPECT_EQ(eh4.walksDone, ehb.walksDone);
-}
-
-TEST(Campaign, BatchKnobsSteerAutoEngineAndKeepBytes)
-{
-    // setenv is safe here: the knobs are read once on this thread at
-    // the top of computeSlabPerf, before any pool fan-out.
-    setenv("CISA_BATCH", "0", 1);
-    EngineHealth off_h;
-    std::vector<PhasePerf> off = computeSlabPerf(
-        x64Isa(), SlabEngine::Auto, nullptr, &off_h);
-    EXPECT_EQ(off_h.cellsBatched, 0u);
-    EXPECT_GT(off_h.cellsPerCell, 0u);
-
-    setenv("CISA_BATCH", "1", 1);
-    EngineHealth on_h;
-    std::vector<PhasePerf> on = computeSlabPerf(
-        x64Isa(), SlabEngine::Auto, nullptr, &on_h);
-    EXPECT_GT(on_h.cellsBatched, 0u);
-    EXPECT_TRUE(sameCells(off, on));
+    EXPECT_EQ(eh4.cellsBatched, eh1.cellsBatched);
+    EXPECT_EQ(eh4.walksDone, eh1.walksDone);
 
     // A tiny chunk width forces more (smaller) walks but must not
-    // change a single byte.
+    // change a single byte. setenv is safe here: the knob is read
+    // once on this thread at the top of computeSlabPerf, before any
+    // pool fan-out.
     setenv("CISA_BATCH_WIDTH", "4", 1);
     EngineHealth narrow_h;
-    std::vector<PhasePerf> narrow = computeSlabPerf(
-        x64Isa(), SlabEngine::Batch, nullptr, &narrow_h);
-    EXPECT_TRUE(sameCells(off, narrow));
-    EXPECT_GT(narrow_h.walksDone, on_h.walksDone);
-
-    unsetenv("CISA_BATCH");
+    std::vector<PhasePerf> narrow =
+        computeSlabPerf(x64Isa(), nullptr, &narrow_h);
     unsetenv("CISA_BATCH_WIDTH");
+    EXPECT_TRUE(sameCells(live, narrow));
+    EXPECT_GT(narrow_h.walksDone, eh4.walksDone);
+    EXPECT_EQ(narrow_h.walksDone + narrow_h.walksSaved, sims);
 }
 
 MulticoreDesign

@@ -38,6 +38,7 @@ struct EnvSetup
 
 #include "common/parallel.hh"
 #include "explore/campaign.hh"
+#include "slab_oracle.hh"
 
 namespace cisa
 {
@@ -157,22 +158,21 @@ TEST(CampaignDeterminism, SlabIsBitIdenticalAcrossThreadCounts)
 }
 
 /**
- * The acceptance property of the replay engine: the memoized
- * structural-stream path must reproduce the live per-cell path byte
- * for byte over a whole slab — every (uarch, phase, environment)
- * cell of a full ISA — on the full thread pool.
+ * The acceptance property of the slab engine: the batched lockstep
+ * walk over memoized structural streams must reproduce the live
+ * per-cell reference byte for byte over a whole slab — every
+ * (uarch, phase, environment) cell of a full ISA — on the full
+ * thread pool.
  */
-TEST(CampaignDeterminism, ReplayEngineSlabIsBitIdenticalToLive)
+TEST(CampaignDeterminism, SlabIsBitIdenticalToLiveOracle)
 {
     // One composite slab and one vendor slab (vendor traces are
     // code-size-adjusted before packing, a path worth covering).
     for (int slab : {FeatureSet::thumbLike().id(), 27}) {
-        std::vector<PhasePerf> live =
-            computeSlabPerf(slab, SlabEngine::Live);
-        std::vector<PhasePerf> replay =
-            computeSlabPerf(slab, SlabEngine::Replay);
-        ASSERT_EQ(live.size(), replay.size());
-        EXPECT_EQ(std::memcmp(live.data(), replay.data(),
+        std::vector<PhasePerf> live = liveSlabPerf(slab);
+        std::vector<PhasePerf> batch = computeSlabPerf(slab);
+        ASSERT_EQ(live.size(), batch.size());
+        EXPECT_EQ(std::memcmp(live.data(), batch.data(),
                               live.size() * sizeof(PhasePerf)),
                   0)
             << "slab " << slab;

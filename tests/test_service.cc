@@ -552,18 +552,19 @@ TEST(Executor, CoalescesConcurrentTwins)
             got[size_t(i)] = exec.call(Request::slabPerf(5));
         });
     }
-    // Wait until the one shared job is running, then release it.
-    while (gate.invocations.load() == 0)
+    // Release the one shared job once every other client has
+    // attached to it (submit counts a twin before it returns).
+    auto coalesced = [&] {
+        return exec.snapshot().ep[size_t(ReqType::Slab)].coalesced;
+    };
+    while (coalesced() < uint64_t(kClients - 1))
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
     gate.release();
     for (std::thread &t : clients)
         t.join();
 
-    // One computation, kClients identical responses. (Late clients
-    // may legitimately hit the cache if they submitted after the
-    // job finished; coalesced + cacheHits covers all but the one
-    // that ran.)
+    // One computation, kClients identical responses; every client
+    // but the one that ran was a twin, none a cache hit.
     EXPECT_EQ(gate.invocations.load(), 1);
     for (const Response &r : got) {
         EXPECT_EQ(r.status, Status::Ok);
@@ -572,9 +573,8 @@ TEST(Executor, CoalescesConcurrentTwins)
     StatsSnap s = exec.snapshot();
     const EndpointSnap &slab = s.ep[size_t(ReqType::Slab)];
     EXPECT_EQ(slab.requests, uint64_t(kClients));
-    EXPECT_EQ(slab.coalesced + slab.cacheHits,
-              uint64_t(kClients - 1));
-    EXPECT_GE(slab.coalesced, 1u);
+    EXPECT_EQ(slab.coalesced, uint64_t(kClients - 1));
+    EXPECT_EQ(slab.cacheHits, 0u);
 }
 
 TEST(Executor, QueueBoundGivesBusyAndNeverGrows)
@@ -842,7 +842,6 @@ TEST(Executor, PriorityClassOrdersQueue)
         ASSERT_EQ(exec.submit(*r, 0, &job, &cached),
                   Executor::Admit::Accepted);
         clients.emplace_back([&exec, job] { exec.wait(job, 0); });
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     gate.release();
     for (std::thread &t : clients)
@@ -1115,7 +1114,8 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
     // handler, stop() drains on a worker thread.
     server.requestStop();
     std::thread stopper([&] { server.stop(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    while (!server.executor().draining())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     // During the drain, a new request on a live connection is
     // rejected with BUSY.
@@ -1693,9 +1693,13 @@ TEST(ClientRetry, BusyRetriesUntilCapacityFrees)
 
     // The service is now saturated: new work bounces with BUSY. A
     // retrying client must ride the window out and succeed once the
-    // gate opens.
+    // gate opens, which happens only after it has been bounced.
     std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
+        while (server.executor()
+                   .snapshot()
+                   .ep[size_t(ReqType::Slab)]
+                   .busy == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         gate.release();
     });
     Client probe;
