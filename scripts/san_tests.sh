@@ -5,9 +5,10 @@
 # ASan+UBSan (memory / UB), UBSan alone, and TSan (the injected
 # failures race against the executor pool, the router's health prober
 # and the slab store's cross-process locking). The compiler pass
-# tests ride along: SCCP's constant folding and unroll's trip
-# arithmetic are exactly the kind of integer code UBSan catches
-# overflowing, and the golden O1 test pins the whole mid-end. The
+# tests ride along: their hand-built IR drives LVN, DCE,
+# if-conversion and the allocator's spill paths, block- and
+# vreg-indexed code of the kind ASan and UBSan catch reading out of
+# bounds, and the golden O1 test pins the whole mid-end. The
 # stage-1 artifact test covers the shared image templates and the
 # build-once memo that concurrent evaluations race on. The parallel
 # test checks the one production slab path (stage-1 fan-out, stream

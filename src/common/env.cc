@@ -141,18 +141,6 @@ batchSimdEnabled()
     return envInt("CISA_BATCH_SIMD", 1) != 0;
 }
 
-int
-compileOptLevel()
-{
-    return int(envIntRange("CISA_OPT", 1, 0, 2));
-}
-
-std::string
-compilePassOverride()
-{
-    return envStr("CISA_PASSES", "");
-}
-
 bool
 pipelineVerifyEnabled()
 {

@@ -71,20 +71,10 @@ int batchWidth();
  * way, so 0 exists for debugging and A/B timing. */
 bool batchSimdEnabled();
 
-/** Mid-end optimization level of every compile that takes its
- * options from the environment (CISA_OPT, 0..2, default 1): 0 = no
- * mid-end, 1 = the classic fixed sequence, 2 = adds SCCP, LICM and
- * bounded unrolling. */
-int compileOptLevel();
-
-/** Explicit comma-separated mid-end pass list overriding the
- * CISA_OPT pipeline (CISA_PASSES, default unset). Unknown pass
- * names abort compilation with the known-name list. */
-std::string compilePassOverride();
-
 /** Re-validate IR invariants after every mid-end pass so a
  * corrupting pass is blamed by name (CISA_VERIFY_IR, default
- * off). */
+ * off). Verifying changes neither the generated code nor the slab
+ * store's key. */
 bool pipelineVerifyEnabled();
 
 /** Hill-climbing restarts in the multicore search. */

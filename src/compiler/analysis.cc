@@ -67,135 +67,6 @@ Cfg::build(const IrFunction &f)
     return cfg;
 }
 
-bool
-DomTree::dominates(int a, int b) const
-{
-    while (true) {
-        if (a == b)
-            return true;
-        int next = idom[size_t(b)];
-        if (next == b || next < 0)
-            return a == b;
-        b = next;
-    }
-}
-
-DomTree
-DomTree::build(const IrFunction &f, const Cfg &cfg)
-{
-    // Cooper-Harvey-Kennedy iterative dominators over RPO.
-    size_t n = f.blocks.size();
-    DomTree dt;
-    dt.idom.assign(n, -1);
-    dt.idom[0] = 0;
-
-    auto intersect = [&](int b1, int b2) {
-        while (b1 != b2) {
-            while (cfg.rpoIndex[size_t(b1)] > cfg.rpoIndex[size_t(b2)])
-                b1 = dt.idom[size_t(b1)];
-            while (cfg.rpoIndex[size_t(b2)] > cfg.rpoIndex[size_t(b1)])
-                b2 = dt.idom[size_t(b2)];
-        }
-        return b1;
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int b : cfg.rpo) {
-            if (b == 0)
-                continue;
-            int new_idom = -1;
-            for (int p : cfg.preds[size_t(b)]) {
-                if (cfg.rpoIndex[size_t(p)] < 0)
-                    continue; // unreachable predecessor
-                if (dt.idom[size_t(p)] < 0)
-                    continue;
-                new_idom = new_idom < 0 ? p : intersect(p, new_idom);
-            }
-            if (new_idom >= 0 && dt.idom[size_t(b)] != new_idom) {
-                dt.idom[size_t(b)] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    return dt;
-}
-
-bool
-Loop::contains(int b) const
-{
-    return std::find(blocks.begin(), blocks.end(), b) != blocks.end();
-}
-
-LoopInfo
-LoopInfo::build(const IrFunction &f, const Cfg &cfg, const DomTree &dom)
-{
-    LoopInfo li;
-    size_t n = f.blocks.size();
-    li.loopDepth.assign(n, 0);
-
-    // Natural loop of each back edge (tail -> header where header
-    // dominates tail); merge loops sharing a header.
-    for (size_t b = 0; b < n; b++) {
-        if (cfg.rpoIndex[b] < 0)
-            continue;
-        for (int s : cfg.succs[b]) {
-            if (!dom.dominates(s, int(b)))
-                continue;
-            // Found back edge b -> s.
-            Loop *loop = nullptr;
-            for (auto &l : li.loops) {
-                if (l.header == s) {
-                    loop = &l;
-                    break;
-                }
-            }
-            if (!loop) {
-                li.loops.push_back({});
-                loop = &li.loops.back();
-                loop->header = s;
-                loop->blocks.push_back(s);
-            }
-            // Walk predecessors from the tail up to the header.
-            std::vector<int> work = {int(b)};
-            while (!work.empty()) {
-                int x = work.back();
-                work.pop_back();
-                if (loop->contains(x))
-                    continue;
-                loop->blocks.push_back(x);
-                for (int p : cfg.preds[size_t(x)])
-                    work.push_back(p);
-            }
-        }
-    }
-
-    // Depth: number of loops containing each block; a loop's depth is
-    // the depth of its header.
-    for (const auto &l : li.loops) {
-        for (int b : l.blocks)
-            li.loopDepth[size_t(b)]++;
-    }
-    for (auto &l : li.loops)
-        l.depth = li.loopDepth[size_t(l.header)];
-    return li;
-}
-
-int
-LoopInfo::innermostLoop(int b) const
-{
-    int best = -1;
-    int best_depth = 0;
-    for (size_t i = 0; i < loops.size(); i++) {
-        if (loops[i].contains(b) && loops[i].depth > best_depth) {
-            best = int(i);
-            best_depth = loops[i].depth;
-        }
-    }
-    return best;
-}
-
 namespace
 {
 

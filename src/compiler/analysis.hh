@@ -1,8 +1,7 @@
 /**
  * @file
  * Standard compiler analyses over the IR CFG: predecessors, reverse
- * postorder, iterative dominators, natural-loop discovery from back
- * edges, and iterative live-variable analysis. These feed the
+ * postorder, and iterative live-variable analysis. These feed the
  * pressure-sensitive redundancy elimination, if-conversion
  * profitability, vectorization legality, and linear-scan allocation.
  */
@@ -34,40 +33,6 @@ struct Cfg
 
     /** Build from a function. */
     static Cfg build(const IrFunction &f);
-};
-
-/** Immediate-dominator tree (entry dominates everything). */
-struct DomTree
-{
-    std::vector<int> idom; ///< idom[b], entry's idom is itself
-
-    /** True if a dominates b. */
-    bool dominates(int a, int b) const;
-
-    static DomTree build(const IrFunction &f, const Cfg &cfg);
-};
-
-/** One natural loop. */
-struct Loop
-{
-    int header = -1;
-    std::vector<int> blocks; ///< includes header; unsorted
-    int depth = 1;           ///< nesting depth (1 = outermost)
-
-    bool contains(int b) const;
-};
-
-/** All natural loops of a function. */
-struct LoopInfo
-{
-    std::vector<Loop> loops;
-    std::vector<int> loopDepth; ///< per block; 0 = not in a loop
-
-    static LoopInfo build(const IrFunction &f, const Cfg &cfg,
-                          const DomTree &dom);
-
-    /** Innermost loop containing block b, or -1. */
-    int innermostLoop(int b) const;
 };
 
 /** Live-variable analysis results. */

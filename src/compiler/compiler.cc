@@ -18,8 +18,6 @@ CompileOptions
 CompileOptions::fromEnv()
 {
     CompileOptions o;
-    o.optLevel = compileOptLevel();
-    o.passOverride = compilePassOverride();
     o.verifyIr = pipelineVerifyEnabled();
     return o;
 }
@@ -28,23 +26,10 @@ uint64_t
 CompileOptions::pipelineKey() const
 {
     uint64_t h = fnv1a("cisa-pipeline-v1");
-    h = hashCombine(h, uint64_t(optLevel));
-    h = fnv1a(passOverride, h);
-    h = hashCombine(h, uint64_t(enableLvn) |
-                           uint64_t(enableVectorize) << 1 |
-                           uint64_t(enableIfConvert) << 2 |
-                           uint64_t(enableSchedule) << 3 |
-                           uint64_t(verifyIr) << 4);
-    h = hashCombine(h, uint64_t(ifParams.pipelineDepth));
-    h = hashCombine(h, uint64_t(ifParams.maxHammockInstrs));
-    uint64_t rate;
-    static_assert(sizeof(rate) == sizeof(ifParams.minMispredictRate),
-                  "bit-pattern hash expects a 64-bit double");
-    __builtin_memcpy(&rate, &ifParams.minMispredictRate, 8);
-    h = hashCombine(h, rate);
-    h = hashCombine(h, uint64_t(unrollParams.maxTrip));
-    h = hashCombine(h, uint64_t(unrollParams.maxExpandedInstrs));
-    return h;
+    return hashCombine(h, uint64_t(enableLvn) |
+                              uint64_t(enableVectorize) << 1 |
+                              uint64_t(enableIfConvert) << 2 |
+                              uint64_t(enableSchedule) << 3);
 }
 
 MachineProgram
@@ -57,13 +42,7 @@ compile(const IrModule &m, const CompileOptions &opts,
     IrModule work = m; // passes mutate a private copy
     CompileReport rep;
 
-    PipelineSpec spec =
-        opts.passOverride.empty()
-            ? PipelineSpec::forLevel(opts.optLevel, opts)
-            : PipelineSpec::parse(opts.passOverride);
-    rep.pipeline = spec.str();
-    PassManager pm(spec);
-    pm.run(work, opts, rep);
+    PassManager(opts).run(work, opts, rep);
     work.validate();
 
     MachineProgram prog;

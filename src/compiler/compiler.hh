@@ -1,17 +1,15 @@
 /**
  * @file
- * The compiler driver: runs a data-described pass pipeline (see
- * passmanager.hh) to lower one target-independent IrModule onto one
- * composite feature set.
+ * The compiler driver: runs the mid-end pass pipeline (see
+ * passmanager.hh) and the back end to lower one target-independent
+ * IrModule onto one composite feature set.
  *
- * Mid-end (Section IV.A, opt-level selectable): SCCP constant
- * folding (O2) -> pressure-sensitive LVN -> dead-code elimination ->
- * loop vectorization (SIMD targets) -> if-conversion
- * (fully-predicated targets) -> LICM and bounded unrolling (O2) ->
- * final DCE cleanup. Back end: instruction selection (folding on
- * full x86; 64-on-32 legalization) -> linear-scan register
- * allocation at the target's register depth -> post-RA list
- * scheduling -> layout + encoding.
+ * Mid-end (Section IV.A): pressure-sensitive LVN -> dead-code
+ * elimination -> loop vectorization (SIMD targets) -> if-conversion
+ * (fully-predicated targets) -> final DCE cleanup. Back end:
+ * instruction selection (folding on full x86; 64-on-32
+ * legalization) -> linear-scan register allocation at the target's
+ * register depth -> post-RA list scheduling -> layout + encoding.
  *
  * compile() optionally returns the transformed IR, which is the
  * semantic reference the machine code must match exactly — the
@@ -28,10 +26,7 @@
 #include "compiler/ir.hh"
 #include "compiler/machine.hh"
 #include "compiler/passes/ifconvert.hh"
-#include "compiler/passes/licm.hh"
 #include "compiler/passes/lvn.hh"
-#include "compiler/passes/sccp.hh"
-#include "compiler/passes/unroll.hh"
 #include "compiler/passes/vectorize.hh"
 #include "compiler/passmanager.hh"
 #include "isa/features.hh"
@@ -44,14 +39,6 @@ struct CompileOptions
 {
     FeatureSet target = FeatureSet::superset();
 
-    /** Mid-end pipeline: 0 = none, 1 = the classic fixed sequence,
-     * 2 = adds SCCP/LICM/unroll. See PipelineSpec::forLevel(). */
-    int optLevel = 1;
-
-    /** Non-empty: explicit comma-separated pass list that replaces
-     * the opt-level pipeline entirely (PipelineSpec::parse()). */
-    std::string passOverride;
-
     /** Re-check IR invariants after every mid-end pass and blame the
      * corrupting pass by name (CISA_VERIFY_IR). */
     bool verifyIr = false;
@@ -60,23 +47,20 @@ struct CompileOptions
     bool enableVectorize = true; ///< effective only with SIMD
     bool enableIfConvert = true; ///< effective only with full pred.
     bool enableSchedule = true;  ///< post-RA list scheduling
-    IfConvertParams ifParams;    ///< regDepth is filled from target
-    UnrollParams unrollParams;   ///< O2 full-unroll budget
 
     /**
-     * Options seeded from the environment (CISA_OPT, CISA_PASSES,
-     * CISA_VERIFY_IR) — the one constructor every compile site that
-     * wants the campaign's configuration must go through, so the
-     * explorer, the service and migration recompiles cannot
-     * silently diverge.
+     * Options seeded from the environment (CISA_VERIFY_IR) — the one
+     * constructor every compile site that wants the campaign's
+     * configuration must go through, so the explorer, the service
+     * and migration recompiles cannot silently diverge.
      */
     static CompileOptions fromEnv();
 
     /**
      * Stable fingerprint of everything here that changes generated
-     * code except the target itself. Folded into the DSE slab
-     * budget key so results compiled under different pipelines
-     * never alias in the cache.
+     * code except the target itself; verifyIr only checks, so it is
+     * left out. Folded into the DSE slab budget key so results
+     * compiled under different pipelines never alias in the cache.
      */
     uint64_t pipelineKey() const;
 };
@@ -87,15 +71,8 @@ struct CompileReport
     LvnStats lvn;
     VectorizeStats vec;
     IfConvertStats ifc;
-    SccpStats sccp;
-    LicmStats licm;
-    UnrollStats unroll;
     int dceRemoved = 0;
     int blocksScheduled = 0;
-
-    /** AnalysisManager cache behaviour, summed over functions. */
-    int analysesComputed = 0;
-    int analysesReused = 0;
 
     /** Canonical string of the mid-end pipeline that ran. */
     std::string pipeline;

@@ -5,9 +5,9 @@
  * A deliberately small, non-SSA three-address IR: virtual registers
  * are mutable, so structured control flow needs no phi nodes (the
  * workload generator writes the same vreg on both sides of a
- * diamond). Liveness, loop analysis, local value numbering,
- * if-conversion, vectorization, instruction selection and linear-scan
- * allocation all operate directly on this form. One IrModule is
+ * diamond). Liveness, local value numbering, if-conversion,
+ * vectorization, instruction selection and linear-scan allocation
+ * all operate directly on this form. One IrModule is
  * compiled unchanged to every composite feature set, which is what
  * makes cross-ISA comparisons fair.
  *
@@ -118,7 +118,8 @@ struct IrBlock
 {
     std::vector<IrInstr> instrs;
 
-    // Loop metadata stamped by the generator / loop analysis.
+    // Loop metadata stamped by the generator (and the vectorizer's
+    // remainder loops).
     bool isLoopHeader = false;
     bool vectorizable = false;  ///< innermost, no loop-carried deps
     uint64_t tripCountHint = 0; ///< expected iterations per entry

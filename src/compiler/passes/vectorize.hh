@@ -3,7 +3,7 @@
  * Loop vectorization for SIMD-capable feature sets.
  *
  * Transforms canonical single-block innermost F64 loops (flagged
- * vectorizable by loop analysis / the generator) into packed two-lane
+ * vectorizable by the workload generator) into packed two-lane
  * SSE2-style form: unit-stride loads/stores become VLoad/VStore,
  * arithmetic becomes VAdd/VSub/VMul, loop-invariant scalars are splat
  * in the preheader, and additive reductions are accumulated per lane

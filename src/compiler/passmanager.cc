@@ -6,106 +6,28 @@
 #include "compiler/compiler.hh"
 #include "compiler/passes/dce.hh"
 #include "compiler/passes/ifconvert.hh"
-#include "compiler/passes/licm.hh"
 #include "compiler/passes/lvn.hh"
-#include "compiler/passes/sccp.hh"
-#include "compiler/passes/unroll.hh"
 #include "compiler/passes/vectorize.hh"
 
 namespace cisa
 {
 
-const Cfg &
-AnalysisManager::cfg()
-{
-    if (!cfg_) {
-        cfg_ = std::make_unique<Cfg>(Cfg::build(f_));
-        computed_++;
-    } else {
-        reused_++;
-    }
-    return *cfg_;
-}
-
-const DomTree &
-AnalysisManager::domTree()
-{
-    if (!dom_) {
-        const Cfg &c = cfg();
-        dom_ = std::make_unique<DomTree>(DomTree::build(f_, c));
-        computed_++;
-    } else {
-        reused_++;
-    }
-    return *dom_;
-}
-
-const LoopInfo &
-AnalysisManager::loopInfo()
-{
-    if (!loops_) {
-        const Cfg &c = cfg();
-        const DomTree &d = domTree();
-        loops_ =
-            std::make_unique<LoopInfo>(LoopInfo::build(f_, c, d));
-        computed_++;
-    } else {
-        reused_++;
-    }
-    return *loops_;
-}
-
-const Liveness &
-AnalysisManager::liveness()
-{
-    if (!live_) {
-        const Cfg &c = cfg();
-        live_ = std::make_unique<Liveness>(Liveness::build(f_, c));
-        computed_++;
-    } else {
-        reused_++;
-    }
-    return *live_;
-}
-
-void
-AnalysisManager::invalidate(unsigned preserved)
-{
-    if (!(preserved & kAnalysisCfg))
-        cfg_.reset();
-    // Everything else is derived from the CFG: no surviving CFG, no
-    // surviving dependents, whatever the pass claimed.
-    if (!cfg_ || !(preserved & kAnalysisDom))
-        dom_.reset();
-    if (!cfg_ || !dom_ || !(preserved & kAnalysisLoops))
-        loops_.reset();
-    if (!cfg_ || !(preserved & kAnalysisLiveness))
-        live_.reset();
-}
-
 namespace
 {
-
-constexpr unsigned kKeepsCfg =
-    kAnalysisCfg | kAnalysisDom | kAnalysisLoops;
 
 class LvnPass final : public FunctionPass
 {
   public:
     const char *name() const override { return "lvn"; }
 
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &opts,
-                   CompileReport &rep) override
+    bool run(IrFunction &f, const CompileOptions &opts,
+             CompileReport &rep) override
     {
         LvnStats s = runLvn(f, opts.target.regDepth);
         rep.lvn.exprsEliminated += s.exprsEliminated;
         rep.lvn.loadsEliminated += s.loadsEliminated;
         rep.lvn.skippedForPressure += s.skippedForPressure;
-        // Copy propagation can rewrite operands even when nothing is
-        // counted as eliminated, so stay conservative on liveness.
-        return {kKeepsCfg, s.exprsEliminated > 0 ||
-                               s.loadsEliminated > 0};
+        return s.exprsEliminated > 0 || s.loadsEliminated > 0;
     }
 };
 
@@ -114,13 +36,12 @@ class DcePass final : public FunctionPass
   public:
     const char *name() const override { return "dce"; }
 
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &,
-                   CompileReport &rep) override
+    bool run(IrFunction &f, const CompileOptions &,
+             CompileReport &rep) override
     {
         int n = runDce(f);
         rep.dceRemoved += n;
-        return {n > 0 ? kKeepsCfg : kAnalysisAll, n > 0};
+        return n > 0;
     }
 };
 
@@ -129,19 +50,17 @@ class VectorizePass final : public FunctionPass
   public:
     const char *name() const override { return "vectorize"; }
 
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &opts,
-                   CompileReport &rep) override
+    bool run(IrFunction &f, const CompileOptions &opts,
+             CompileReport &rep) override
     {
         // Lowering gate, not a pipeline gate: packed IR only exists
         // for targets that can select it.
         if (!opts.target.simd())
-            return {kAnalysisAll, false};
+            return false;
         VectorizeStats s = runVectorize(f);
         rep.vec.loopsVectorized += s.loopsVectorized;
         rep.vec.loopsRejected += s.loopsRejected;
-        bool ch = s.loopsVectorized > 0;
-        return {ch ? kAnalysisNone : kAnalysisAll, ch};
+        return s.loopsVectorized > 0;
     }
 };
 
@@ -150,188 +69,34 @@ class IfConvertPass final : public FunctionPass
   public:
     const char *name() const override { return "ifconvert"; }
 
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &opts,
-                   CompileReport &rep) override
+    bool run(IrFunction &f, const CompileOptions &opts,
+             CompileReport &rep) override
     {
         if (!opts.target.fullPredication())
-            return {kAnalysisAll, false};
-        IfConvertParams p = opts.ifParams;
+            return false;
+        IfConvertParams p;
         p.regDepth = opts.target.regDepth;
         IfConvertStats s = runIfConvert(f, p);
         rep.ifc.diamondsConverted += s.diamondsConverted;
         rep.ifc.trianglesConverted += s.trianglesConverted;
         rep.ifc.rejectedUnprofitable += s.rejectedUnprofitable;
         rep.ifc.rejectedShape += s.rejectedShape;
-        bool ch = s.diamondsConverted + s.trianglesConverted > 0;
-        return {ch ? kAnalysisNone : kAnalysisAll, ch};
-    }
-};
-
-class SccpPass final : public FunctionPass
-{
-  public:
-    const char *name() const override { return "sccp"; }
-
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &opts,
-                   CompileReport &rep) override
-    {
-        SccpStats s = runSccp(f, opts.target.widthBits());
-        rep.sccp.constsFolded += s.constsFolded;
-        rep.sccp.branchesFolded += s.branchesFolded;
-        rep.sccp.blocksUnreachable += s.blocksUnreachable;
-        if (s.branchesFolded > 0)
-            return {kAnalysisNone, true};
-        if (s.constsFolded > 0)
-            return {kKeepsCfg, true};
-        return {kAnalysisAll, false};
-    }
-};
-
-class LicmPass final : public FunctionPass
-{
-  public:
-    const char *name() const override { return "licm"; }
-
-    PassResult run(IrFunction &f, AnalysisManager &am,
-                   const CompileOptions &,
-                   CompileReport &rep) override
-    {
-        const Cfg &cfg = am.cfg();
-        const LoopInfo &li = am.loopInfo();
-        const Liveness &lv = am.liveness();
-        LicmStats s = runLicm(f, cfg, li, lv);
-        rep.licm.hoisted += s.hoisted;
-        rep.licm.loadsHoisted += s.loadsHoisted;
-        rep.licm.loopsSkipped += s.loopsSkipped;
-        // Only instructions move; the block graph is untouched.
-        return {s.hoisted > 0 ? kKeepsCfg : kAnalysisAll,
-                s.hoisted > 0};
-    }
-};
-
-class UnrollPass final : public FunctionPass
-{
-  public:
-    const char *name() const override { return "unroll"; }
-
-    PassResult run(IrFunction &f, AnalysisManager &,
-                   const CompileOptions &opts,
-                   CompileReport &rep) override
-    {
-        UnrollStats s = runUnroll(f, opts.unrollParams);
-        rep.unroll.loopsUnrolled += s.loopsUnrolled;
-        rep.unroll.loopsRejected += s.loopsRejected;
-        rep.unroll.instrsAdded += s.instrsAdded;
-        bool ch = s.loopsUnrolled > 0;
-        return {ch ? kAnalysisNone : kAnalysisAll, ch};
+        return s.diamondsConverted + s.trianglesConverted > 0;
     }
 };
 
 } // namespace
 
-std::vector<std::string>
-registeredPassNames()
+PassManager::PassManager(const CompileOptions &opts)
 {
-    return {"lvn",  "dce",  "vectorize", "ifconvert",
-            "sccp", "licm", "unroll"};
-}
-
-std::unique_ptr<FunctionPass>
-createPass(const std::string &name)
-{
-    if (name == "lvn")
-        return std::make_unique<LvnPass>();
-    if (name == "dce")
-        return std::make_unique<DcePass>();
-    if (name == "vectorize")
-        return std::make_unique<VectorizePass>();
-    if (name == "ifconvert")
-        return std::make_unique<IfConvertPass>();
-    if (name == "sccp")
-        return std::make_unique<SccpPass>();
-    if (name == "licm")
-        return std::make_unique<LicmPass>();
-    if (name == "unroll")
-        return std::make_unique<UnrollPass>();
-    return nullptr;
-}
-
-PipelineSpec
-PipelineSpec::forLevel(int level, const CompileOptions &opts)
-{
-    PipelineSpec spec;
-    if (level <= 0)
-        return spec;
-    // O1 is the historical fixed sequence with DCE un-nested from
-    // the LVN flag: cleanup always runs, including after the
-    // CFG-restructuring passes, so dead and predicated-off
-    // instructions cannot leak into instruction selection.
     if (opts.enableLvn)
-        spec.passes.push_back("lvn");
-    spec.passes.push_back("dce");
-    if (level >= 2)
-        spec.passes.insert(spec.passes.begin(), "sccp");
+        passes_.push_back(std::make_unique<LvnPass>());
+    passes_.push_back(std::make_unique<DcePass>());
     if (opts.enableVectorize)
-        spec.passes.push_back("vectorize");
+        passes_.push_back(std::make_unique<VectorizePass>());
     if (opts.enableIfConvert)
-        spec.passes.push_back("ifconvert");
-    if (level >= 2) {
-        spec.passes.push_back("licm");
-        spec.passes.push_back("unroll");
-    }
-    spec.passes.push_back("dce");
-    return spec;
-}
-
-PipelineSpec
-PipelineSpec::parse(const std::string &text)
-{
-    PipelineSpec spec;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        size_t b = pos, e = comma;
-        while (b < e && std::isspace(uint8_t(text[b])))
-            b++;
-        while (e > b && std::isspace(uint8_t(text[e - 1])))
-            e--;
-        std::string tok = text.substr(b, e - b);
-        if (!tok.empty()) {
-            if (!createPass(tok)) {
-                std::string known;
-                for (const auto &n : registeredPassNames())
-                    known += (known.empty() ? "" : ",") + n;
-                panic("unknown pass '%s' in pipeline '%s' (known: "
-                      "%s)",
-                      tok.c_str(), text.c_str(), known.c_str());
-            }
-            spec.passes.push_back(tok);
-        }
-        pos = comma + 1;
-    }
-    return spec;
-}
-
-std::string
-PipelineSpec::str() const
-{
-    std::string s;
-    for (const auto &p : passes)
-        s += (s.empty() ? "" : ",") + p;
-    return s;
-}
-
-PassManager::PassManager(const PipelineSpec &spec)
-{
-    for (const auto &n : spec.passes) {
-        auto p = createPass(n);
-        panic_if(!p, "unknown pass '%s'", n.c_str());
-        passes_.push_back(std::move(p));
-    }
+        passes_.push_back(std::make_unique<IfConvertPass>());
+    passes_.push_back(std::make_unique<DcePass>());
 }
 
 void
@@ -339,23 +104,25 @@ PassManager::run(IrModule &m, const CompileOptions &opts,
                  CompileReport &rep)
 {
     size_t base = rep.passRuns.size();
-    for (const auto &p : passes_)
+    rep.pipeline.clear();
+    for (const auto &p : passes_) {
+        if (!rep.pipeline.empty())
+            rep.pipeline += ',';
+        rep.pipeline += p->name();
         rep.passRuns.push_back({p->name(), 0.0, false});
+    }
 
     using clk = std::chrono::steady_clock;
     for (auto &f : m.funcs) {
-        AnalysisManager am(f);
         for (size_t pi = 0; pi < passes_.size(); pi++) {
             auto t0 = clk::now();
-            PassResult r = passes_[pi]->run(f, am, opts, rep);
+            bool changed = passes_[pi]->run(f, opts, rep);
             auto t1 = clk::now();
             PassRun &pr = rep.passRuns[base + pi];
             pr.micros +=
                 std::chrono::duration<double, std::micro>(t1 - t0)
                     .count();
-            pr.changed |= r.changed;
-            if (r.changed)
-                am.invalidate(r.preserved);
+            pr.changed |= changed;
             if (opts.verifyIr) {
                 std::string err = m.check();
                 panic_if(!err.empty(),
@@ -365,8 +132,6 @@ PassManager::run(IrModule &m, const CompileOptions &opts,
                          err.c_str());
             }
         }
-        rep.analysesComputed += am.computed();
-        rep.analysesReused += am.reused();
     }
 }
 

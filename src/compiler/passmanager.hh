@@ -2,19 +2,14 @@
  * @file
  * Pass-pipeline infrastructure for the mid-end.
  *
- * Replaces the hard-coded pass sequence that used to live in
- * compile(): pipelines are data (a named pass list per opt level, or
- * a user-supplied comma-separated override), passes are registered
- * units behind a one-line factory, and the standard analyses (CFG,
- * dominators, loop info, liveness) are computed on demand through an
- * AnalysisManager that caches them per function and drops exactly
- * the ones a pass reports it did not preserve.
- *
- * Pipeline grammar: `name ("," name)*` over the registered pass
- * names (see registeredPassNames()); whitespace around names is
- * ignored. `O0` is the empty pipeline, `O1` the legacy fixed
- * sequence with dead-code cleanup properly un-nested, `O2` adds
- * SCCP, LICM and bounded unrolling.
+ * The mid-end is one fixed sequence, `lvn, dce, vectorize,
+ * ifconvert, dce`, built from the CompileOptions enable* flags: a
+ * cleared flag drops its stage, while both DCE stages always run so
+ * dead and predicated-off instructions cannot leak into instruction
+ * selection. Each stage is a FunctionPass wrapping one pass's run
+ * function; the wrapper folds the pass's statistics into the
+ * CompileReport and skips targets the transform cannot lower to
+ * (vectorize needs SIMD, ifconvert full predication).
  */
 
 #ifndef CISA_COMPILER_PASSMANAGER_HH
@@ -24,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/analysis.hh"
 #include "compiler/ir.hh"
 
 namespace cisa
@@ -33,93 +27,18 @@ namespace cisa
 struct CompileOptions;
 struct CompileReport;
 
-/** Analysis kinds, used as preservation bitmask positions. */
-enum : unsigned {
-    kAnalysisNone = 0,
-    kAnalysisCfg = 1u << 0,
-    kAnalysisDom = 1u << 1,
-    kAnalysisLoops = 1u << 2,
-    kAnalysisLiveness = 1u << 3,
-    kAnalysisAll = 0xfu,
-};
-
-/**
- * On-demand, cached analyses for one function. Accessors build on
- * first use (dominators pull in the CFG, loops pull in both);
- * invalidate() drops whatever a pass failed to preserve, and
- * anything built on top of a dropped analysis goes with it.
- */
-class AnalysisManager
-{
-  public:
-    explicit AnalysisManager(const IrFunction &f) : f_(f) {}
-
-    const Cfg &cfg();
-    const DomTree &domTree();
-    const LoopInfo &loopInfo();
-    const Liveness &liveness();
-
-    /** Drop every cached analysis whose bit is missing from
-     * @p preserved (plus dependents of dropped ones). */
-    void invalidate(unsigned preserved);
-
-    int computed() const { return computed_; }
-    int reused() const { return reused_; }
-
-  private:
-    const IrFunction &f_;
-    std::unique_ptr<Cfg> cfg_;
-    std::unique_ptr<DomTree> dom_;
-    std::unique_ptr<LoopInfo> loops_;
-    std::unique_ptr<Liveness> live_;
-    int computed_ = 0;
-    int reused_ = 0;
-};
-
-/** What one pass execution did to one function. */
-struct PassResult
-{
-    unsigned preserved = kAnalysisAll; ///< analyses still valid
-    bool changed = false;              ///< any IR mutation at all
-};
-
-/** A registered mid-end transformation unit. */
+/** One mid-end transformation stage. */
 class FunctionPass
 {
   public:
     virtual ~FunctionPass() = default;
 
-    /** Registry name (also the pipeline-grammar token). */
+    /** Stage name in CompileReport::pipeline and passRuns. */
     virtual const char *name() const = 0;
 
-    /** Transform @p f; report what survived. */
-    virtual PassResult run(IrFunction &f, AnalysisManager &am,
-                           const CompileOptions &opts,
-                           CompileReport &rep) = 0;
-};
-
-/** Names accepted by PipelineSpec::parse(), in registry order. */
-std::vector<std::string> registeredPassNames();
-
-/** Instantiate a pass by name; null when unknown. */
-std::unique_ptr<FunctionPass> createPass(const std::string &name);
-
-/** A pipeline described as data: an ordered list of pass names. */
-struct PipelineSpec
-{
-    std::vector<std::string> passes;
-
-    /** Canonical pipeline for -O@p level (0..2), with the option
-     * flags (enableLvn & co) applied as build-time gates. */
-    static PipelineSpec forLevel(int level,
-                                 const CompileOptions &opts);
-
-    /** Parse a comma-separated pass string; panics (naming the
-     * offending token and the known passes) on anything unknown. */
-    static PipelineSpec parse(const std::string &text);
-
-    /** Canonical comma-separated form (empty string for O0). */
-    std::string str() const;
+    /** Transform @p f; true when the IR changed. */
+    virtual bool run(IrFunction &f, const CompileOptions &opts,
+                     CompileReport &rep) = 0;
 };
 
 /** Wall-clock and outcome of one pipeline stage, summed over the
@@ -132,18 +51,17 @@ struct PassRun
 };
 
 /**
- * Executes a pipeline over a module, function-major (every pass runs
- * on a function before the next function starts, so one
- * AnalysisManager serves the whole pipeline). Per-pass wall clock
- * and change flags land in the report; with opts.verifyIr the module
- * is re-checked after every pass and a corrupting pass is blamed by
- * name.
+ * Executes the mid-end over a module, function-major (every stage
+ * runs on a function before the next function starts). The report
+ * receives the canonical pipeline string and per-stage wall clock
+ * and change flags; with opts.verifyIr the module is re-checked
+ * after every stage and a corrupting pass is blamed by name.
  */
 class PassManager
 {
   public:
-    /** Builds the pass objects; panics on unknown names. */
-    explicit PassManager(const PipelineSpec &spec);
+    /** Builds the fixed sequence gated by @p opts' enable* flags. */
+    explicit PassManager(const CompileOptions &opts);
 
     void run(IrModule &m, const CompileOptions &opts,
              CompileReport &rep);

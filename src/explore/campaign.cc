@@ -54,8 +54,8 @@ Campaign::budgetKeyFor(uint64_t simUops, uint64_t warmupUops)
     h = hashCombine(h, simUops);
     h = hashCombine(h, warmupUops);
     // Results depend on the compile pipeline as much as on the
-    // budget: slabs built at different opt levels (or with a pass
-    // override) must never alias in the store.
+    // budget: slabs built by a different mid-end must never alias
+    // in the store.
     return hashCombine(h, CompileOptions::fromEnv().pipelineKey());
 }
 
@@ -77,17 +77,6 @@ Campaign::Campaign()
     if (ready) {
         inform("loaded %d/%d DSE slabs from %s", ready, kSlabs,
                store_.path().c_str());
-    }
-    CompileOptions copts = CompileOptions::fromEnv();
-    if (copts.optLevel != 1 || !copts.passOverride.empty()) {
-        PipelineSpec spec =
-            copts.passOverride.empty()
-                ? PipelineSpec::forLevel(copts.optLevel, copts)
-                : PipelineSpec::parse(copts.passOverride);
-        inform("non-default compile pipeline (CISA_OPT=%d%s): %s",
-               copts.optLevel,
-               copts.passOverride.empty() ? "" : ", CISA_PASSES set",
-               spec.str().c_str());
     }
 }
 

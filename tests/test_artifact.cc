@@ -145,13 +145,8 @@ expectSameReport(const CompileReport &a, const CompileReport &b)
     EXPECT_TRUE(sameBytes(a.lvn, b.lvn));
     EXPECT_TRUE(sameBytes(a.vec, b.vec));
     EXPECT_TRUE(sameBytes(a.ifc, b.ifc));
-    EXPECT_TRUE(sameBytes(a.sccp, b.sccp));
-    EXPECT_TRUE(sameBytes(a.licm, b.licm));
-    EXPECT_TRUE(sameBytes(a.unroll, b.unroll));
     EXPECT_EQ(a.dceRemoved, b.dceRemoved);
     EXPECT_EQ(a.blocksScheduled, b.blocksScheduled);
-    EXPECT_EQ(a.analysesComputed, b.analysesComputed);
-    EXPECT_EQ(a.analysesReused, b.analysesReused);
     EXPECT_EQ(a.pipeline, b.pipeline);
     ASSERT_EQ(a.passRuns.size(), b.passRuns.size());
     for (size_t i = 0; i < a.passRuns.size(); i++) {
@@ -289,9 +284,9 @@ TEST(Artifact, DowngradeMatchesUncappedPath)
 
 TEST(Artifact, ConcurrentCallersShareOneBuild)
 {
-    // O0 keys no other test asks for.
+    // LVN-off keys no other test asks for.
     CompileOptions opts = CompileOptions::fromEnv();
-    opts.optLevel = 0;
+    opts.enableLvn = false;
     opts.target = FeatureSet::byId(3);
     constexpr int kThreads = 8;
     std::vector<std::shared_ptr<const PhaseArtifact>> got(kThreads);
@@ -321,7 +316,6 @@ TEST(Artifact, ConcurrentCallersShareOneBuild)
 TEST(Artifact, MemoKeepsTheMostRecentKeys)
 {
     CompileOptions opts = CompileOptions::fromEnv();
-    opts.optLevel = 0;
     opts.enableSchedule = false; // keys of this test only
     opts.target = FeatureSet::byId(0);
     uint64_t before = phaseArtifactBuilds();

@@ -9,15 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/analysis.hh"
 #include "compiler/compiler.hh"
 #include "compiler/exec.hh"
 #include "compiler/interp.hh"
 #include "compiler/passes/dce.hh"
-#include "compiler/passes/licm.hh"
+#include "compiler/passes/ifconvert.hh"
 #include "compiler/passes/lvn.hh"
-#include "compiler/passes/sccp.hh"
-#include "compiler/passes/unroll.hh"
 
 namespace cisa
 {
@@ -360,18 +357,6 @@ interpRet(const IrModule &m)
     return r.retVal;
 }
 
-/** Build the analysis bundle LICM wants and run it on funcs[0]. */
-LicmStats
-licmOn(IrModule &m)
-{
-    IrFunction &f = m.funcs[0];
-    Cfg cfg = Cfg::build(f);
-    DomTree dom = DomTree::build(f, cfg);
-    LoopInfo li = LoopInfo::build(f, cfg, dom);
-    Liveness lv = Liveness::build(f, cfg);
-    return runLicm(f, cfg, li, lv);
-}
-
 TEST(Dce, RunsWithLvnDisabled)
 {
     // The historical bug: dead-code elimination was nested under the
@@ -390,7 +375,6 @@ TEST(Dce, RunsWithLvnDisabled)
     CompileOptions opts;
     opts.target = FeatureSet::superset();
     opts.enableLvn = false;
-    opts.optLevel = 1;
     CompileReport rep;
     IrModule ir;
     compile(m, opts, &rep, &ir);
@@ -440,294 +424,39 @@ TEST(Dce, CleansUpAfterIfConversion)
         return m;
     };
     FeatureSet fs = FeatureSet::parse("x86-32D-64W-F");
+    auto has_mul = [](const IrModule &m) {
+        for (const auto &bb : m.funcs[0].blocks) {
+            for (const auto &i : bb.instrs) {
+                if (i.op == IrOp::Mul)
+                    return true;
+            }
+        }
+        return false;
+    };
 
+    // If-conversion alone leaves the dead multiply behind; a DCE run
+    // after it removes it without changing the result.
     IrModule m = build();
+    int64_t want = interpRet(m);
+    IfConvertParams p;
+    p.regDepth = fs.regDepth;
+    EXPECT_EQ(runIfConvert(m.funcs[0], p).diamondsConverted, 1);
+    EXPECT_TRUE(has_mul(m));
+    EXPECT_GT(runDce(m.funcs[0]), 0);
+    EXPECT_FALSE(has_mul(m));
+    m.validate();
+    EXPECT_EQ(interpRet(m), want);
+
+    // The default pipeline ends with exactly that cleanup.
     CompileOptions opts;
     opts.target = fs;
-    opts.passOverride = "ifconvert";
-    CompileReport rep1;
-    compile(m, opts, &rep1);
-    EXPECT_EQ(rep1.ifc.diamondsConverted, 1);
-    EXPECT_EQ(rep1.dceRemoved, 0); // no DCE stage ran at all
-
-    opts.passOverride = "ifconvert,dce";
-    CompileReport rep2;
-    IrModule ir2;
-    compile(m, opts, &rep2, &ir2);
-    EXPECT_EQ(rep2.ifc.diamondsConverted, 1);
-    EXPECT_GT(rep2.dceRemoved, 0); // the dead multiply falls here
-    runBoth(m, fs);
-}
-
-TEST(Licm, HoistsInvariantArithmetic)
-{
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int k = b.constInt(12, Type::I32);
-    int acc = b.constInt(0, Type::I32);
-    int i = b.constInt(0, Type::I32);
-    int loop = b.newBlock();
-    int exit = b.newBlock();
-    b.jmp(loop);
-    b.setBlock(loop);
-    int inv = b.arithImm(IrOp::Mul, k, 3, Type::I32);
-    b.arithInto(acc, IrOp::Add, acc, inv, Type::I32);
-    b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-    int c = b.icmpImm(Cond::Lt, i, 8);
-    b.br(c, loop, exit, 0.9, true);
-    b.setBlock(exit);
-    b.ret(acc);
-    m.validate();
-
-    size_t loop_before = m.funcs[0].blocks[1].instrs.size();
-    LicmStats st = licmOn(m);
-    EXPECT_GE(st.hoisted, 1);
-    EXPECT_EQ(st.loopsSkipped, 0);
-    EXPECT_LT(m.funcs[0].blocks[1].instrs.size(), loop_before);
-    m.validate();
-    EXPECT_EQ(interpRet(m), 8 * 12 * 3);
-}
-
-TEST(Licm, RefusesToClobberLiveInRedefinition)
-{
-    // x carries 7 into the first iteration, then is redefined to 36
-    // inside the loop. Hoisting the redefinition would lose the 7.
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int k = b.constInt(12, Type::I32);
-    int x = b.constInt(7, Type::I32);
-    int acc = b.constInt(0, Type::I32);
-    int i = b.constInt(0, Type::I32);
-    int loop = b.newBlock();
-    int exit = b.newBlock();
-    b.jmp(loop);
-    b.setBlock(loop);
-    b.arithInto(acc, IrOp::Add, acc, x, Type::I32); // uses old x
-    b.arithImmInto(x, IrOp::Mul, k, 3, Type::I32);  // redefines x
-    b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-    int c = b.icmpImm(Cond::Lt, i, 8);
-    b.br(c, loop, exit, 0.9, true);
-    b.setBlock(exit);
-    b.ret(acc);
-    m.validate();
-
-    LicmStats st = licmOn(m);
-    EXPECT_EQ(st.hoisted, 0);
-    EXPECT_EQ(interpRet(m), 7 + 7 * 12 * 3);
-}
-
-TEST(Licm, HoistsHeaderLoadOnlyWithoutStores)
-{
-    auto build = [](bool with_store) {
-        IrModule m = shell();
-        IrBuilder b(m);
-        b.startFunc("main");
-        int base = b.baseAddr(0);
-        int addr = b.gep(base, -1, 1, 8);
-        int out = b.gep(base, -1, 1, 512);
-        int acc = b.constInt(0, Type::I32);
-        int i = b.constInt(0, Type::I32);
-        int loop = b.newBlock();
-        int exit = b.newBlock();
-        b.jmp(loop);
-        b.setBlock(loop);
-        int v = b.load(addr, Type::I32);
-        b.arithInto(acc, IrOp::Add, acc, v, Type::I32);
-        if (with_store)
-            b.store(out, acc, Type::I32);
-        b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-        int c = b.icmpImm(Cond::Lt, i, 8);
-        b.br(c, loop, exit, 0.9, true);
-        b.setBlock(exit);
-        b.ret(acc);
-        m.validate();
-        return m;
-    };
-
-    IrModule clean = build(false);
-    int64_t want_clean = interpRet(clean);
-    LicmStats st1 = licmOn(clean);
-    EXPECT_EQ(st1.loadsHoisted, 1);
-    clean.validate();
-    EXPECT_EQ(interpRet(clean), want_clean);
-
-    IrModule stores = build(true);
-    int64_t want_stores = interpRet(stores);
-    LicmStats st2 = licmOn(stores);
-    EXPECT_EQ(st2.loadsHoisted, 0); // a store poisons the loop
-    EXPECT_EQ(interpRet(stores), want_stores);
-}
-
-TEST(Sccp, FoldsConstantChains)
-{
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int a = b.constInt(5, Type::I32);
-    int x = b.arithImm(IrOp::Mul, a, 3, Type::I32); // 15
-    int y = b.arithImm(IrOp::Add, x, 7, Type::I32); // 22
-    int z = b.arith(IrOp::Xor, y, x, Type::I32);    // 25
-    b.ret(z);
-    m.validate();
-
-    SccpStats st = runSccp(m.funcs[0], 64);
-    EXPECT_EQ(st.constsFolded, 3);
-    EXPECT_EQ(st.branchesFolded, 0);
-    for (const auto &i : m.funcs[0].blocks[0].instrs) {
-        if (i.hasDst()) {
-            EXPECT_EQ(i.op, IrOp::ConstInt);
-        }
-    }
-    m.validate();
-    EXPECT_EQ(interpRet(m), (22 ^ 15));
-}
-
-TEST(Sccp, FoldsBranchesAndPrunesUnreachable)
-{
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int a = b.constInt(3, Type::I32);
-    int bt = b.newBlock();
-    int bf = b.newBlock();
-    int c = b.icmpImm(Cond::Lt, a, 5); // always 1
-    b.br(c, bt, bf, 0.5, false);
-    b.setBlock(bt);
-    int x = b.constInt(111, Type::I32);
-    b.ret(x);
-    b.setBlock(bf);
-    int y = b.constInt(222, Type::I32);
-    b.ret(y);
-    m.validate();
-
-    SccpStats st = runSccp(m.funcs[0], 64);
-    EXPECT_EQ(st.branchesFolded, 1);
-    EXPECT_EQ(st.blocksUnreachable, 1);
-    EXPECT_EQ(m.funcs[0].blocks[0].terminator().op, IrOp::Jmp);
-    EXPECT_EQ(m.funcs[0].blocks[size_t(bf)].instrs.size(), 1u);
-    m.validate();
-    EXPECT_EQ(interpRet(m), 111);
-}
-
-TEST(Sccp, LeavesDivAndPredicatedDefsAlone)
-{
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int p = b.constInt(1, Type::I32);
-    int a = b.constInt(6, Type::I32);
-    b.arithImm(IrOp::Div, a, 3, Type::I32); // quotient not folded
-    int t = b.arithImm(IrOp::Add, a, 1, Type::I32);
-    // Hand-predicate the add: a false predicate would keep t's old
-    // value, so the def is a merge and must not fold.
-    IrInstr &pred = m.funcs[0].blocks[0].instrs.back();
-    pred.predVreg = p;
-    pred.predSense = true;
-    b.ret(t);
-    m.validate();
-
-    SccpStats st = runSccp(m.funcs[0], 64);
-    EXPECT_EQ(st.constsFolded, 0);
-    EXPECT_EQ(interpRet(m), 7);
-}
-
-TEST(Unroll, FullyUnrollsCountedLoop)
-{
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int acc = b.constInt(0, Type::I32);
-    int i = b.constInt(0, Type::I32);
-    int loop = b.newBlock();
-    int exit = b.newBlock();
-    b.jmp(loop);
-    b.setBlock(loop);
-    b.arithInto(acc, IrOp::Add, acc, i, Type::I32);
-    b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-    int c = b.icmpImm(Cond::Lt, i, 4);
-    b.br(c, loop, exit, 0.75, true);
-    b.setBlock(exit);
-    b.ret(acc);
-    m.validate();
-
-    UnrollStats st = runUnroll(m.funcs[0], UnrollParams{});
-    EXPECT_EQ(st.loopsUnrolled, 1);
-    EXPECT_EQ(st.loopsRejected, 0);
-    EXPECT_EQ(st.instrsAdded, 5); // 4*(body of 2) + jmp, was 4
-    for (const auto &ins : m.funcs[0].blocks[1].instrs)
-        EXPECT_NE(ins.op, IrOp::Br); // back edge is gone
-    m.validate();
-    EXPECT_EQ(interpRet(m), 0 + 1 + 2 + 3);
-    runBoth(m, FeatureSet::superset());
-}
-
-TEST(Unroll, RespectsTripAndSizeBudgets)
-{
-    auto build = [](int64_t bound) {
-        IrModule m = shell();
-        IrBuilder b(m);
-        b.startFunc("main");
-        int acc = b.constInt(0, Type::I32);
-        int i = b.constInt(0, Type::I32);
-        int loop = b.newBlock();
-        int exit = b.newBlock();
-        b.jmp(loop);
-        b.setBlock(loop);
-        b.arithInto(acc, IrOp::Add, acc, i, Type::I32);
-        b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-        int c = b.icmpImm(Cond::Lt, i, bound);
-        b.br(c, loop, exit, 0.75, true);
-        b.setBlock(exit);
-        b.ret(acc);
-        m.validate();
-        return m;
-    };
-
-    // 100 trips exceeds the default trip ceiling.
-    IrModule big = build(100);
-    UnrollStats st1 = runUnroll(big.funcs[0], UnrollParams{});
-    EXPECT_EQ(st1.loopsUnrolled, 0);
-    EXPECT_EQ(st1.loopsRejected, 1);
-    EXPECT_TRUE(big.funcs[0].blocks[1].terminator().op == IrOp::Br);
-
-    // 4 trips fits the trip ceiling but not a tiny size budget.
-    IrModule tight = build(4);
-    UnrollParams p;
-    p.maxTrip = 16;
-    p.maxExpandedInstrs = 8; // expansion needs 9
-    UnrollStats st2 = runUnroll(tight.funcs[0], p);
-    EXPECT_EQ(st2.loopsUnrolled, 0);
-    EXPECT_EQ(st2.loopsRejected, 1);
-}
-
-TEST(Unroll, RequiresConstantInit)
-{
-    // The induction variable starts from a loaded value: the trip
-    // count is unknown, so the loop is not even a candidate.
-    IrModule m = shell();
-    IrBuilder b(m);
-    b.startFunc("main");
-    int base = b.baseAddr(0);
-    int acc = b.constInt(0, Type::I32);
-    int i = b.load(b.gep(base, -1, 1, 0), Type::I32);
-    b.arithImmInto(i, IrOp::And, i, 3, Type::I32);
-    int loop = b.newBlock();
-    int exit = b.newBlock();
-    b.jmp(loop);
-    b.setBlock(loop);
-    b.arithInto(acc, IrOp::Add, acc, i, Type::I32);
-    b.arithImmInto(i, IrOp::Add, i, 1, Type::I32);
-    int c = b.icmpImm(Cond::Lt, i, 8);
-    b.br(c, loop, exit, 0.75, true);
-    b.setBlock(exit);
-    b.ret(acc);
-    m.validate();
-
-    UnrollStats st = runUnroll(m.funcs[0], UnrollParams{});
-    EXPECT_EQ(st.loopsUnrolled, 0);
-    EXPECT_EQ(st.loopsRejected, 0); // shape failure, not budget
+    CompileReport rep;
+    IrModule ir;
+    compile(build(), opts, &rep, &ir);
+    EXPECT_EQ(rep.pipeline, "lvn,dce,vectorize,ifconvert,dce");
+    EXPECT_EQ(rep.ifc.diamondsConverted, 1);
+    EXPECT_FALSE(has_mul(ir));
+    runBoth(build(), fs);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the IR core: builder/validation, the interpreter's
  * semantics, memory image initialization, and the CFG analyses
- * (dominators, loops, liveness).
+ * (successors and predecessors, reverse postorder, liveness).
  */
 
 #include <gtest/gtest.h>
@@ -180,29 +180,6 @@ TEST(Analysis, CfgAndRpo)
     EXPECT_EQ(cfg.succs[1].size(), 2u);
     EXPECT_EQ(cfg.preds[1].size(), 2u); // entry + backedge
     EXPECT_EQ(cfg.rpo.front(), 0);
-}
-
-TEST(Analysis, Dominators)
-{
-    IrModule m = countingLoop();
-    Cfg cfg = Cfg::build(m.funcs[0]);
-    DomTree dom = DomTree::build(m.funcs[0], cfg);
-    EXPECT_TRUE(dom.dominates(0, 1));
-    EXPECT_TRUE(dom.dominates(0, 2));
-    EXPECT_TRUE(dom.dominates(1, 2));
-    EXPECT_FALSE(dom.dominates(2, 1));
-}
-
-TEST(Analysis, Loops)
-{
-    IrModule m = countingLoop();
-    Cfg cfg = Cfg::build(m.funcs[0]);
-    DomTree dom = DomTree::build(m.funcs[0], cfg);
-    LoopInfo li = LoopInfo::build(m.funcs[0], cfg, dom);
-    ASSERT_EQ(li.loops.size(), 1u);
-    EXPECT_EQ(li.loops[0].header, 1);
-    EXPECT_EQ(li.loopDepth[1], 1);
-    EXPECT_EQ(li.loopDepth[0], 0);
 }
 
 TEST(Analysis, Liveness)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "compiler/compiler.hh"
 #include "compiler/exec.hh"
 #include "compiler/interp.hh"
@@ -321,7 +323,6 @@ TEST(Pipeline, GoldenO1MatchesLegacyFixedSequence)
             MachineProgram ref = legacyCompile(m, t);
             CompileOptions opts;
             opts.target = t;
-            opts.optLevel = 1;
             MachineProgram got = compile(m, opts);
             EXPECT_EQ(got.print(), ref.print())
                 << bench << " @ " << fs;
@@ -335,115 +336,52 @@ TEST(Pipeline, GoldenO1MatchesLegacyFixedSequence)
     }
 }
 
-TEST(Pipeline, O2ChangesCodegenAndPreservesSemantics)
-{
-    // sjeng's phases call leaf functions with small counted loops,
-    // giving the O2 extras (SCCP/LICM/unroll) something to chew on.
-    IrModule m = buildPhase(smallProfile("sjeng"));
-    FeatureSet fs = FeatureSet::parse("x86-32D-64W-P");
-
-    CompileOptions o1;
-    o1.target = fs;
-    o1.optLevel = 1;
-    MachineProgram p1 = compile(m, o1);
-
-    CompileOptions o2;
-    o2.target = fs;
-    o2.optLevel = 2;
-    CompileReport rep;
-    IrModule ir2;
-    MachineProgram p2 = compile(m, o2, &rep, &ir2);
-
-    // O2 is a genuinely different design point...
-    EXPECT_NE(p1.print(), p2.print());
-    EXPECT_GT(rep.sccp.constsFolded + rep.licm.hoisted +
-                  rep.unroll.loopsUnrolled,
-              0);
-
-    // ...that still computes the same thing: machine execution must
-    // match the interpretation of the transformed IR exactly.
-    MemImage i1 = MemImage::build(ir2, fs.widthBits());
-    ExecResult want = interpret(ir2, i1);
-    MemImage i2 = MemImage::build(ir2, fs.widthBits());
-    ExecResult got = executeMachine(p2, i2);
-    EXPECT_EQ(got.retVal, want.retVal);
-    EXPECT_EQ(got.intChecksum, want.intChecksum);
-}
-
-TEST(Pipeline, PassStringOverrideReplacesLevel)
+TEST(Pipeline, ReportNamesEveryStage)
 {
     IrModule m = buildPhase(smallProfile("hmmer"));
     CompileOptions opts;
     opts.target = FeatureSet::superset();
-    opts.optLevel = 2;          // ignored: the override wins
-    opts.passOverride = "dce";
     CompileReport rep;
     compile(m, opts, &rep);
-    EXPECT_EQ(rep.pipeline, "dce");
-    // One mid-end stage plus the four backend stages.
-    ASSERT_EQ(rep.passRuns.size(), 5u);
-    EXPECT_EQ(rep.passRuns[0].name, "dce");
-    EXPECT_EQ(rep.passRuns[4].name, "encode");
-    for (const auto &pr : rep.passRuns)
-        EXPECT_GE(pr.micros, 0.0);
-    EXPECT_EQ(rep.lvn.exprsEliminated, 0);
-    EXPECT_EQ(rep.vec.loopsVectorized, 0);
+    EXPECT_EQ(rep.pipeline, "lvn,dce,vectorize,ifconvert,dce");
+    // The five mid-end stages, then the four backend stages.
+    const char *want[] = {"lvn",  "dce",  "vectorize", "ifconvert",
+                          "dce",  "isel", "regalloc",  "sched",
+                          "encode"};
+    ASSERT_EQ(rep.passRuns.size(), std::size(want));
+    for (size_t i = 0; i < rep.passRuns.size(); i++) {
+        EXPECT_EQ(rep.passRuns[i].name, want[i]);
+        EXPECT_GE(rep.passRuns[i].micros, 0.0);
+    }
 }
 
-TEST(Pipeline, ParseRejectsUnknownPassByName)
+TEST(Pipeline, KeyIgnoresVerifyAndCoversEveryEnableFlag)
 {
-    EXPECT_EQ(PipelineSpec::parse(" lvn , dce ").str(), "lvn,dce");
-    EXPECT_EQ(PipelineSpec::parse("").passes.size(), 0u);
-    EXPECT_DEATH(PipelineSpec::parse("lvn,bogus"),
-                 "unknown pass 'bogus'");
-}
+    CompileOptions base;
+    CompileOptions verified = base;
+    verified.verifyIr = true;
+    EXPECT_EQ(verified.pipelineKey(), base.pipelineKey());
 
-TEST(Pipeline, AnalysisCacheComputesOnceAndReuses)
-{
-    IrModule m = buildPhase(smallProfile("sjeng"));
-    CompileOptions opts;
-    opts.target = FeatureSet::parse("x86-32D-64W-P");
-    opts.optLevel = 2;
-    CompileReport rep;
-    compile(m, opts, &rep);
-    // LICM pulls CFG + dominators + loops + liveness: the dependent
-    // analyses rebuild on the cached CFG rather than from scratch.
-    EXPECT_GT(rep.analysesComputed, 0);
-    EXPECT_GT(rep.analysesReused, 0);
+    bool CompileOptions::*flags[] = {
+        &CompileOptions::enableLvn, &CompileOptions::enableVectorize,
+        &CompileOptions::enableIfConvert,
+        &CompileOptions::enableSchedule};
+    for (auto flag : flags) {
+        CompileOptions o = base;
+        o.*flag = !(o.*flag);
+        EXPECT_NE(o.pipelineKey(), base.pipelineKey());
+    }
 }
 
 TEST(Pipeline, VerifyModeIsTransparent)
 {
     IrModule m = buildPhase(smallProfile("milc"));
-    for (int level : {1, 2}) {
-        CompileOptions opts;
-        opts.target = FeatureSet::superset();
-        opts.optLevel = level;
-        MachineProgram plain = compile(m, opts);
-        opts.verifyIr = true;
-        MachineProgram checked = compile(m, opts);
-        EXPECT_EQ(plain.print(), checked.print()) << "O" << level;
-    }
-}
-
-TEST(Pipeline, OptLevelZeroSkipsMidEnd)
-{
-    IrModule m = buildPhase(smallProfile("hmmer"));
     CompileOptions opts;
     opts.target = FeatureSet::superset();
-    opts.optLevel = 0;
-    CompileReport rep;
-    IrModule ir;
-    MachineProgram prog = compile(m, opts, &rep, &ir);
-    EXPECT_EQ(rep.pipeline, "");
-    EXPECT_EQ(rep.dceRemoved, 0);
-    EXPECT_EQ(rep.lvn.exprsEliminated, 0);
-    // Unoptimized code still runs correctly.
-    MemImage i1 = MemImage::build(ir, opts.target.widthBits());
-    ExecResult want = interpret(ir, i1);
-    MemImage i2 = MemImage::build(ir, opts.target.widthBits());
-    ExecResult got = executeMachine(prog, i2);
-    EXPECT_EQ(got.intChecksum, want.intChecksum);
+    MachineProgram plain = compile(m, opts);
+    opts.verifyIr = true;
+    MachineProgram checked = compile(m, opts);
+    EXPECT_EQ(plain.print(), checked.print());
 }
 
 } // namespace
