@@ -5,128 +5,6 @@
 namespace cisa
 {
 
-BinWriter::BinWriter(const std::string &path)
-{
-    f_ = std::fopen(path.c_str(), "wb");
-}
-
-BinWriter::~BinWriter()
-{
-    if (f_)
-        std::fclose(f_);
-}
-
-void
-BinWriter::raw(const void *p, size_t n)
-{
-    if (!f_ || err_)
-        return;
-    if (std::fwrite(p, 1, n, f_) != n)
-        err_ = true;
-}
-
-void BinWriter::u32(uint32_t v) { raw(&v, sizeof(v)); }
-void BinWriter::u64(uint64_t v) { raw(&v, sizeof(v)); }
-void BinWriter::f64(double v) { raw(&v, sizeof(v)); }
-
-void
-BinWriter::str(const std::string &s)
-{
-    u64(s.size());
-    raw(s.data(), s.size());
-}
-
-void
-BinWriter::vecF64(const std::vector<double> &v)
-{
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(double));
-}
-
-BinReader::BinReader(const std::string &path)
-{
-    f_ = std::fopen(path.c_str(), "rb");
-    if (f_ && std::fseek(f_, 0, SEEK_END) == 0) {
-        long sz = std::ftell(f_);
-        if (sz > 0)
-            size_ = size_t(sz);
-        std::fseek(f_, 0, SEEK_SET);
-    }
-}
-
-BinReader::~BinReader()
-{
-    if (f_)
-        std::fclose(f_);
-}
-
-void
-BinReader::raw(void *p, size_t n)
-{
-    if (!f_ || err_) {
-        err_ = true;
-        return;
-    }
-    if (std::fread(p, 1, n, f_) != n) {
-        err_ = true;
-        return;
-    }
-    pos_ += n;
-}
-
-uint32_t
-BinReader::u32()
-{
-    uint32_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-}
-
-uint64_t
-BinReader::u64()
-{
-    uint64_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-}
-
-double
-BinReader::f64()
-{
-    double v = 0;
-    raw(&v, sizeof(v));
-    return v;
-}
-
-std::string
-BinReader::str()
-{
-    uint64_t n = u64();
-    // Clamp to the bytes actually left in the file before touching
-    // the allocator: a corrupt length header must fail cleanly, not
-    // reserve gigabytes first.
-    if (err_ || n > remaining()) {
-        err_ = true;
-        return {};
-    }
-    std::string s(n, '\0');
-    raw(s.data(), n);
-    return s;
-}
-
-std::vector<double>
-BinReader::vecF64()
-{
-    uint64_t n = u64();
-    if (err_ || n > remaining() / sizeof(double)) {
-        err_ = true;
-        return {};
-    }
-    std::vector<double> v(n);
-    raw(v.data(), n * sizeof(double));
-    return v;
-}
-
 void
 ByteReader::raw(void *out, size_t n)
 {

@@ -1,90 +1,21 @@
 /**
  * @file
- * Tiny binary serialization. Two backends share one format
- * (little-endian PODs): BinWriter/BinReader stream over a file (the
- * design-space-exploration result cache, with a magic/version header
- * whose staleness simply invalidates the cache), and
- * ByteWriter/ByteReader work over an in-memory buffer (the service
- * frame payloads). Readers never throw: any overrun or oversized
- * length trips ok() and yields zero values, so corrupt input
- * degrades to a clean rejection.
+ * Tiny binary serialization over an in-memory buffer: little-endian
+ * PODs and length-prefixed strings, used by the service's frame
+ * payloads and request/response codecs. The reader never throws:
+ * any overrun or oversized length trips ok() and yields zero values,
+ * so corrupt input degrades to a clean rejection.
  */
 
 #ifndef CISA_COMMON_SERIALIZE_HH
 #define CISA_COMMON_SERIALIZE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 namespace cisa
 {
-
-/** Streaming binary writer over a file. */
-class BinWriter
-{
-  public:
-    /** Open @p path for writing; ok() reports failure. */
-    explicit BinWriter(const std::string &path);
-    ~BinWriter();
-
-    BinWriter(const BinWriter &) = delete;
-    BinWriter &operator=(const BinWriter &) = delete;
-
-    bool ok() const { return f_ != nullptr && !err_; }
-
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void f64(double v);
-    void str(const std::string &s);
-
-    /** Write a vector of doubles with a length prefix. */
-    void vecF64(const std::vector<double> &v);
-
-  private:
-    void raw(const void *p, size_t n);
-
-    std::FILE *f_ = nullptr;
-    bool err_ = false;
-};
-
-/** Streaming binary reader over a file. */
-class BinReader
-{
-  public:
-    /** Open @p path for reading; ok() reports failure. */
-    explicit BinReader(const std::string &path);
-    ~BinReader();
-
-    BinReader(const BinReader &) = delete;
-    BinReader &operator=(const BinReader &) = delete;
-
-    bool ok() const { return f_ != nullptr && !err_; }
-
-    /** Bytes left between the cursor and end of file. */
-    size_t remaining() const { return size_ - pos_; }
-
-    uint32_t u32();
-    uint64_t u64();
-    double f64();
-
-    /** Length-prefixed string. The length is validated against the
-     * bytes actually remaining in the file before any allocation,
-     * so a corrupt header can never drive a multi-GiB allocation. */
-    std::string str();
-
-    /** Length-prefixed vector of doubles; same length clamp. */
-    std::vector<double> vecF64();
-
-  private:
-    void raw(void *p, size_t n);
-
-    std::FILE *f_ = nullptr;
-    bool err_ = false;
-    size_t size_ = 0; ///< file size at open
-    size_t pos_ = 0;  ///< bytes consumed so far
-};
 
 /** Binary writer into a growable in-memory buffer. */
 class ByteWriter

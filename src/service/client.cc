@@ -104,19 +104,17 @@ Client::callOnce(const Request &req, Response *resp,
                     encodeRequestEnvelope(req, deadline_ms))) {
         return fail(strfmt("send: %s", std::strerror(errno)));
     }
-    // frame_ is a member so its payload capacity survives across
-    // calls: a loop of hot slab requests reads every ~140 KiB
-    // response into the same buffer instead of mmap'ing a fresh one.
-    Frame &frame = frame_;
+    FrameKind kind = FrameKind::Request;
     std::string why;
-    FrameRead fr = readFrame(fd_, &frame, &why);
+    FrameRead fr = readFrameWire(fd_, &wire_, &kind, &why);
     if (fr == FrameRead::Eof)
         return fail("server closed the connection");
     if (fr == FrameRead::Bad)
         return fail(why);
-    if (frame.kind != FrameKind::Response)
+    if (kind != FrameKind::Response)
         return fail("expected a response frame");
-    ByteReader r(frame.payload);
+    ByteReader r(wire_.data() + kFrameHeaderBytes,
+                 wire_.size() - kFrameHeaderBytes);
     if (!Response::decode(r, resp))
         return fail("undecodable response payload");
     return true;

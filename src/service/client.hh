@@ -106,7 +106,10 @@ class Client
 
     int fd_ = -1;
     std::string addr_;
-    Frame frame_; ///< response read buffer, reused across calls
+    /** Response wire buffer, reused across calls: a loop of hot
+     * slab requests reads every ~140 KiB response into the same
+     * buffer instead of mmap'ing a fresh one. */
+    std::vector<uint8_t> wire_;
     std::string lastError_;
     RetryPolicy policy_ = RetryPolicy::fromEnv();
     uint64_t jitterState_ = 0;

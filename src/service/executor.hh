@@ -129,6 +129,10 @@ class Executor
 
     size_t queueBound() const { return bound_; }
 
+    /** Resolved response-cache capacity (0 = caching off); the
+     * server sizes its wire cache from it. */
+    size_t cacheCapacity() const { return cacheCap_; }
+
     ServiceMetrics &metrics() { return metrics_; }
 
     /** Metrics snapshot including live queue state. */

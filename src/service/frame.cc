@@ -73,7 +73,8 @@ writeFrame(int fd, FrameKind kind,
 }
 
 FrameRead
-readFrame(int fd, Frame *out, std::string *err)
+readFrameWire(int fd, std::vector<uint8_t> *wire, FrameKind *kind,
+              std::string *err, bool verify)
 {
     auto bad = [&](const std::string &why) {
         if (err)
@@ -90,56 +91,6 @@ readFrame(int fd, Frame *out, std::string *err)
     // transport fault as a permanent loss).
     if (got < 0)
         return FrameRead::Eof;
-    if (size_t(got) < sizeof(hdr))
-        return bad("disconnect inside frame header");
-
-    // Decode the header alone first so the payload allocation is
-    // bounded before we trust the length field.
-    size_t pos = 0;
-    Frame f;
-    std::string why;
-    FrameDecode d = decodeFrame(hdr, sizeof(hdr), &pos, &f, &why);
-    if (d == FrameDecode::Bad)
-        return bad(why);
-
-    ByteReader r(hdr, sizeof(hdr));
-    r.u32(); // magic
-    uint16_t kind = r.u16();
-    r.u16(); // flags
-    uint32_t len = r.u32();
-    uint64_t sum = r.u64();
-
-    // Read straight into the caller's payload vector: a reused
-    // Frame keeps its capacity, so a stream of equal-sized frames
-    // costs no per-frame allocation.
-    std::vector<uint8_t> &payload = out->payload;
-    payload.resize(len);
-    got = ioRecvAll(fd, payload.data(), len);
-    if (got < 0)
-        return FrameRead::Eof; // socket error: stream is dead
-    if (size_t(got) < len)
-        return bad("disconnect inside frame payload");
-    if (frameChecksum(payload.data(), payload.size()) != sum)
-        return bad("frame checksum mismatch");
-    out->kind = FrameKind(kind);
-    return FrameRead::Ok;
-}
-
-FrameRead
-readFrameWire(int fd, std::vector<uint8_t> *wire, FrameKind *kind,
-              std::string *err, bool verify)
-{
-    auto bad = [&](const std::string &why) {
-        if (err)
-            *err = why;
-        return FrameRead::Bad;
-    };
-    uint8_t hdr[kFrameHeaderBytes];
-    ssize_t got = ioRecvAll(fd, hdr, sizeof(hdr));
-    if (got == 0)
-        return FrameRead::Eof;
-    if (got < 0)
-        return FrameRead::Eof; // socket error: see readFrame
     if (size_t(got) < sizeof(hdr))
         return bad("disconnect inside frame header");
 
@@ -163,7 +114,7 @@ readFrameWire(int fd, std::vector<uint8_t> *wire, FrameKind *kind,
     std::memcpy(wire->data(), hdr, sizeof(hdr));
     got = ioRecvAll(fd, wire->data() + kFrameHeaderBytes, len);
     if (got < 0)
-        return FrameRead::Eof; // socket error: see readFrame
+        return FrameRead::Eof; // socket error: stream is dead
     if (size_t(got) < len)
         return bad("disconnect inside frame payload");
     if (verify &&

@@ -23,9 +23,11 @@
  * arriving in arbitrary byte slices) never surfaces above this
  * layer.
  *
- * The raw-wire helpers exist for the router: a relay can receive a
- * frame as opaque bytes and forward them verbatim — no re-encode, no
- * second checksum pass — while the endpoints still verify.
+ * Stream readers keep each frame as its whole wire image (header +
+ * payload) in a caller-owned buffer: a reused buffer makes a stream
+ * of frames allocation-free, and a relay can forward the image
+ * verbatim — no re-encode, no second checksum pass — while the
+ * endpoints still verify.
  */
 
 #ifndef CISA_SERVICE_FRAME_HH
@@ -90,15 +92,13 @@ enum class FrameRead
     Bad  ///< corrupt frame or mid-frame disconnect; see err
 };
 
-/** Blocking, EINTR-safe read of exactly one frame from @p fd. */
-FrameRead readFrame(int fd, Frame *out, std::string *err);
-
 /**
- * Like readFrame, but keeps the complete wire image (header +
- * payload) in @p wire so a relay can forward it without re-encoding.
- * With @p verify false the payload checksum pass is skipped — the
- * header is still validated and the payload length exactly consumed,
- * so a relay stays framed; the receiving endpoint verifies.
+ * Blocking, EINTR-safe read of exactly one frame from @p fd into
+ * @p wire (header + payload; the payload starts at
+ * kFrameHeaderBytes). With @p verify false the payload checksum pass
+ * is skipped — the header is still validated and the payload length
+ * exactly consumed, so a relay stays framed; the receiving endpoint
+ * verifies.
  */
 FrameRead readFrameWire(int fd, std::vector<uint8_t> *wire,
                         FrameKind *kind, std::string *err,

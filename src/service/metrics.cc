@@ -8,68 +8,50 @@
 namespace cisa
 {
 
-uint64_t
-LatencyHisto::percentileUs(double p) const
+LatencyHisto::Buckets
+LatencyHisto::buckets() const
 {
-    uint64_t tot = total();
+    Buckets b;
+    for (size_t i = 0; i < b.size(); i++)
+        b[i] = counts_[i].load(std::memory_order_relaxed);
+    return b;
+}
+
+uint64_t
+percentileUs(const LatencyHisto::Buckets &b, double p)
+{
+    uint64_t tot = 0;
+    for (uint64_t n : b)
+        tot += n;
     if (!tot)
         return 0;
-    if (p < 0)
-        p = 0;
-    if (p > 1)
-        p = 1;
+    p = std::clamp(p, 0.0, 1.0);
     uint64_t target = uint64_t(double(tot - 1) * p) + 1;
     uint64_t seen = 0;
-    for (int b = 0; b < kBuckets; b++) {
-        seen += counts_[size_t(b)].load(std::memory_order_relaxed);
+    for (size_t i = 0; i < b.size(); i++) {
+        seen += b[i];
         if (seen >= target)
-            return b == 0 ? 1 : uint64_t(1) << b;
+            return i == 0 ? 1 : uint64_t(1) << i;
     }
-    return uint64_t(1) << (kBuckets - 1);
+    return uint64_t(1) << (b.size() - 1);
+}
+
+void
+EndpointSnap::summarize()
+{
+    latCount = 0;
+    for (uint64_t n : lat)
+        latCount += n;
+    p50Us = percentileUs(lat, 0.50);
+    p99Us = percentileUs(lat, 0.99);
 }
 
 uint64_t
-StatsSnap::totalRequests() const
+StatsSnap::total(uint64_t EndpointSnap::*counter) const
 {
     uint64_t n = 0;
     for (const EndpointSnap &e : ep)
-        n += e.requests;
-    return n;
-}
-
-uint64_t
-StatsSnap::totalCoalesced() const
-{
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.coalesced;
-    return n;
-}
-
-uint64_t
-StatsSnap::totalCacheHits() const
-{
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.cacheHits;
-    return n;
-}
-
-uint64_t
-StatsSnap::totalBytesIn() const
-{
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.bytesIn;
-    return n;
-}
-
-uint64_t
-StatsSnap::totalBytesOut() const
-{
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.bytesOut;
+        n += e.*counter;
     return n;
 }
 
@@ -77,164 +59,81 @@ void
 StatsSnap::merge(const StatsSnap &w)
 {
     for (size_t i = 0; i < ep.size(); i++) {
-        EndpointSnap &a = ep[i];
-        const EndpointSnap &b = w.ep[i];
-        a.requests += b.requests;
-        a.ok += b.ok;
-        a.coalesced += b.coalesced;
-        a.cacheHits += b.cacheHits;
-        a.stale += b.stale;
-        a.busy += b.busy;
-        a.deadline += b.deadline;
-        a.errors += b.errors;
-        a.bytesIn += b.bytesIn;
-        a.bytesOut += b.bytesOut;
-        a.latCount += b.latCount;
-        a.p50Us = std::max(a.p50Us, b.p50Us);
-        a.p99Us = std::max(a.p99Us, b.p99Us);
+        EndpointSnap &mine = ep[i];
+        forEachCounter(
+            [](const char *, uint64_t &a, uint64_t b) { a += b; }, mine,
+            w.ep[i]);
+        for (size_t b = 0; b < mine.lat.size(); b++)
+            mine.lat[b] += w.ep[i].lat[b];
+        mine.summarize();
     }
-    queueDepth += w.queueDepth;
-    queuePeak += w.queuePeak;
-    inFlight += w.inFlight;
-    draining |= w.draining;
-    liveConns += w.liveConns;
-    connsAccepted += w.connsAccepted;
-    connsRejected += w.connsRejected;
-    reroutes += w.reroutes;
-    workersUp += w.workersUp;
-    workersKnown += w.workersKnown;
-    breakerTrips += w.breakerTrips;
-    breakerProbes += w.breakerProbes;
-    breakerRecoveries += w.breakerRecoveries;
-    breakerOpenNow += w.breakerOpenNow;
-    deadlineShed += w.deadlineShed;
-    workersSupervised += w.workersSupervised;
-    supervisorRestarts += w.supervisorRestarts;
-    supervisorCrashLoops += w.supervisorCrashLoops;
+    forEachStat(
+        [](const char *, const char *, Merge m, uint64_t &a,
+           uint64_t b) { a = m == Merge::Max ? std::max(a, b) : a + b; },
+        *this, w);
     for (const FaultCounterSnap &f : w.faults) {
-        bool found = false;
-        for (FaultCounterSnap &mine : faults) {
-            if (mine.site == f.site) {
-                mine.checks += f.checks;
-                mine.fired += f.fired;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+        auto it = std::find_if(
+            faults.begin(), faults.end(),
+            [&](const FaultCounterSnap &m) { return m.site == f.site; });
+        if (it == faults.end()) {
             faults.push_back(f);
+        } else {
+            it->checks += f.checks;
+            it->fired += f.fired;
+        }
     }
-    store.loaded += w.store.loaded;
-    store.salvaged += w.store.salvaged;
-    store.stale += w.store.stale;
-    store.appended += w.store.appended;
-    store.appendedBytes += w.store.appendedBytes;
-    store.fileBytes = std::max(store.fileBytes, w.store.fileBytes);
-    store.lockWaits += w.store.lockWaits;
-    store.lockWaitUs += w.store.lockWaitUs;
-    store.quarantined += w.store.quarantined;
-    engine.cellsBatched += w.engine.cellsBatched;
-    engine.cellsPerCell += w.engine.cellsPerCell;
-    engine.walksDone += w.engine.walksDone;
-    engine.walksSaved += w.engine.walksSaved;
 }
 
 std::string
 StatsSnap::render() const
 {
-    Table t(strfmt("cisa-serve stats (queue %llu, peak %llu, "
-                   "in-flight %llu%s)",
-                   (unsigned long long)queueDepth,
-                   (unsigned long long)queuePeak,
-                   (unsigned long long)inFlight,
-                   draining ? ", draining" : ""));
-    t.header({"endpoint", "req", "ok", "coal", "cache", "stale",
-              "busy", "ddl", "err", "kbin", "kbout", "p50us",
-              "p99us"});
+    Table t("cisa-serve stats");
+    std::vector<std::string> cols = {"endpoint"};
+    forEachCounter([&](const char *label, uint64_t) {
+        cols.push_back(label);
+    }, ep[0]);
+    cols.insert(cols.end(), {"p50us", "p99us"});
+    t.header(cols);
     for (size_t i = 0; i < ep.size(); i++) {
         const EndpointSnap &e = ep[i];
         if (!e.requests)
             continue;
-        t.row({reqTypeName(ReqType(i)), Table::num(int64_t(e.requests)),
-               Table::num(int64_t(e.ok)),
-               Table::num(int64_t(e.coalesced)),
-               Table::num(int64_t(e.cacheHits)),
-               Table::num(int64_t(e.stale)),
-               Table::num(int64_t(e.busy)),
-               Table::num(int64_t(e.deadline)),
-               Table::num(int64_t(e.errors)),
-               Table::num(int64_t(e.bytesIn >> 10)),
-               Table::num(int64_t(e.bytesOut >> 10)),
-               Table::num(int64_t(e.p50Us)),
-               Table::num(int64_t(e.p99Us))});
+        std::vector<std::string> row = {reqTypeName(ReqType(i))};
+        forEachCounter([&](const char *, uint64_t v) {
+            row.push_back(Table::num(int64_t(v)));
+        }, e);
+        row.push_back(Table::num(int64_t(e.p50Us)));
+        row.push_back(Table::num(int64_t(e.p99Us)));
+        t.row(row);
     }
     std::string body = t.str();
-    if (connsAccepted || connsRejected) {
-        body += strfmt(
-            "transport: %llu live conns, %llu accepted, "
-            "%llu rejected, %llu B in, %llu B out\n",
-            (unsigned long long)liveConns,
-            (unsigned long long)connsAccepted,
-            (unsigned long long)connsRejected,
-            (unsigned long long)totalBytesIn(),
-            (unsigned long long)totalBytesOut());
-    }
-    if (workersKnown) {
-        body += strfmt("fleet: %llu/%llu workers up, %llu reroutes\n",
-                       (unsigned long long)workersUp,
-                       (unsigned long long)workersKnown,
-                       (unsigned long long)reroutes);
-    }
-    if (breakerTrips || breakerProbes || breakerRecoveries ||
-        breakerOpenNow || deadlineShed) {
-        body += strfmt(
-            "breakers: %llu open now, %llu trips, %llu probes, "
-            "%llu recoveries, %llu deadline-shed\n",
-            (unsigned long long)breakerOpenNow,
-            (unsigned long long)breakerTrips,
-            (unsigned long long)breakerProbes,
-            (unsigned long long)breakerRecoveries,
-            (unsigned long long)deadlineShed);
-    }
-    if (workersSupervised || supervisorRestarts ||
-        supervisorCrashLoops) {
-        body += strfmt(
-            "supervisor: %llu workers, %llu restarts, "
-            "%llu crash-looping\n",
-            (unsigned long long)workersSupervised,
-            (unsigned long long)supervisorRestarts,
-            (unsigned long long)supervisorCrashLoops);
-    }
+
+    // One "group: value label, ..." line per group with a non-zero
+    // value; the list keeps each group's scalars adjacent.
+    std::string group, line;
+    bool nonZero = false;
+    auto flush = [&] {
+        if (nonZero)
+            body += group + ": " + line + "\n";
+        line.clear();
+        nonZero = false;
+    };
+    forEachStat([&](const char *g, const char *label, Merge,
+                    uint64_t v) {
+        if (group != g) {
+            flush();
+            group = g;
+        }
+        line += strfmt("%s%llu %s", line.empty() ? "" : ", ",
+                       (unsigned long long)v, label);
+        nonZero |= v != 0;
+    }, *this);
+    flush();
+
     for (const FaultCounterSnap &f : faults) {
         body += strfmt("fault %s: %llu checks, %llu fired\n",
                        f.site.c_str(), (unsigned long long)f.checks,
                        (unsigned long long)f.fired);
-    }
-    if (store.fileBytes || store.loaded || store.appended ||
-        store.salvaged || store.stale || store.quarantined) {
-        body += strfmt(
-            "slab store: %llu loaded, %llu salvaged, %llu stale, "
-            "%llu appended (%llu B), %llu B on disk, "
-            "%llu lock waits (%llu us), %llu quarantined\n",
-            (unsigned long long)store.loaded,
-            (unsigned long long)store.salvaged,
-            (unsigned long long)store.stale,
-            (unsigned long long)store.appended,
-            (unsigned long long)store.appendedBytes,
-            (unsigned long long)store.fileBytes,
-            (unsigned long long)store.lockWaits,
-            (unsigned long long)store.lockWaitUs,
-            (unsigned long long)store.quarantined);
-    }
-    if (engine.cellsBatched || engine.cellsPerCell ||
-        engine.walksDone || engine.walksSaved) {
-        body += strfmt(
-            "slab engine: %llu cells batched, %llu per-cell, "
-            "%llu walks done, %llu walks saved\n",
-            (unsigned long long)engine.cellsBatched,
-            (unsigned long long)engine.cellsPerCell,
-            (unsigned long long)engine.walksDone,
-            (unsigned long long)engine.walksSaved);
     }
     return body;
 }
@@ -244,51 +143,12 @@ StatsSnap::encode(ByteWriter &w) const
 {
     w.u32(uint32_t(ep.size()));
     for (const EndpointSnap &e : ep) {
-        w.u64(e.requests);
-        w.u64(e.ok);
-        w.u64(e.coalesced);
-        w.u64(e.cacheHits);
-        w.u64(e.stale);
-        w.u64(e.busy);
-        w.u64(e.deadline);
-        w.u64(e.errors);
-        w.u64(e.bytesIn);
-        w.u64(e.bytesOut);
-        w.u64(e.latCount);
-        w.u64(e.p50Us);
-        w.u64(e.p99Us);
+        forEachCounter([&](const char *, uint64_t v) { w.u64(v); }, e);
+        for (uint64_t n : e.lat)
+            w.u64(n);
     }
-    w.u64(queueDepth);
-    w.u64(queuePeak);
-    w.u64(inFlight);
-    w.u8(draining);
-    w.u64(liveConns);
-    w.u64(connsAccepted);
-    w.u64(connsRejected);
-    w.u64(reroutes);
-    w.u64(workersUp);
-    w.u64(workersKnown);
-    w.u64(store.loaded);
-    w.u64(store.salvaged);
-    w.u64(store.stale);
-    w.u64(store.appended);
-    w.u64(store.appendedBytes);
-    w.u64(store.fileBytes);
-    w.u64(store.lockWaits);
-    w.u64(store.lockWaitUs);
-    w.u64(store.quarantined);
-    w.u64(engine.cellsBatched);
-    w.u64(engine.cellsPerCell);
-    w.u64(engine.walksDone);
-    w.u64(engine.walksSaved);
-    w.u64(breakerTrips);
-    w.u64(breakerProbes);
-    w.u64(breakerRecoveries);
-    w.u64(breakerOpenNow);
-    w.u64(deadlineShed);
-    w.u64(workersSupervised);
-    w.u64(supervisorRestarts);
-    w.u64(supervisorCrashLoops);
+    forEachStat([&](const char *, const char *, Merge,
+                    uint64_t v) { w.u64(v); }, *this);
     w.u32(uint32_t(faults.size()));
     for (const FaultCounterSnap &f : faults) {
         w.str(f.site);
@@ -305,51 +165,14 @@ StatsSnap::decode(ByteReader &r, StatsSnap *out)
     if (!r.ok() || n != s.ep.size())
         return false;
     for (EndpointSnap &e : s.ep) {
-        e.requests = r.u64();
-        e.ok = r.u64();
-        e.coalesced = r.u64();
-        e.cacheHits = r.u64();
-        e.stale = r.u64();
-        e.busy = r.u64();
-        e.deadline = r.u64();
-        e.errors = r.u64();
-        e.bytesIn = r.u64();
-        e.bytesOut = r.u64();
-        e.latCount = r.u64();
-        e.p50Us = r.u64();
-        e.p99Us = r.u64();
+        forEachCounter([&](const char *, uint64_t &v) { v = r.u64(); },
+                       e);
+        for (uint64_t &b : e.lat)
+            b = r.u64();
+        e.summarize();
     }
-    s.queueDepth = r.u64();
-    s.queuePeak = r.u64();
-    s.inFlight = r.u64();
-    s.draining = r.u8();
-    s.liveConns = r.u64();
-    s.connsAccepted = r.u64();
-    s.connsRejected = r.u64();
-    s.reroutes = r.u64();
-    s.workersUp = r.u64();
-    s.workersKnown = r.u64();
-    s.store.loaded = r.u64();
-    s.store.salvaged = r.u64();
-    s.store.stale = r.u64();
-    s.store.appended = r.u64();
-    s.store.appendedBytes = r.u64();
-    s.store.fileBytes = r.u64();
-    s.store.lockWaits = r.u64();
-    s.store.lockWaitUs = r.u64();
-    s.store.quarantined = r.u64();
-    s.engine.cellsBatched = r.u64();
-    s.engine.cellsPerCell = r.u64();
-    s.engine.walksDone = r.u64();
-    s.engine.walksSaved = r.u64();
-    s.breakerTrips = r.u64();
-    s.breakerProbes = r.u64();
-    s.breakerRecoveries = r.u64();
-    s.breakerOpenNow = r.u64();
-    s.deadlineShed = r.u64();
-    s.workersSupervised = r.u64();
-    s.supervisorRestarts = r.u64();
-    s.supervisorCrashLoops = r.u64();
+    forEachStat([&](const char *, const char *, Merge,
+                    uint64_t &v) { v = r.u64(); }, s);
     uint32_t nf = r.u32();
     if (!r.ok() || nf > uint32_t(kFaultSiteCount))
         return false;
@@ -371,21 +194,14 @@ ServiceMetrics::snapshot(uint64_t queue_depth, uint64_t in_flight,
 {
     StatsSnap s;
     for (size_t i = 0; i < ep_.size(); i++) {
-        const EndpointMetrics &m = ep_[i];
-        EndpointSnap &e = s.ep[i];
-        e.requests = m.requests.load(std::memory_order_relaxed);
-        e.ok = m.ok.load(std::memory_order_relaxed);
-        e.coalesced = m.coalesced.load(std::memory_order_relaxed);
-        e.cacheHits = m.cacheHits.load(std::memory_order_relaxed);
-        e.stale = m.stale.load(std::memory_order_relaxed);
-        e.busy = m.busy.load(std::memory_order_relaxed);
-        e.deadline = m.deadline.load(std::memory_order_relaxed);
-        e.errors = m.errors.load(std::memory_order_relaxed);
-        e.bytesIn = m.bytesIn.load(std::memory_order_relaxed);
-        e.bytesOut = m.bytesOut.load(std::memory_order_relaxed);
-        e.latCount = m.latency.total();
-        e.p50Us = m.latency.percentileUs(0.50);
-        e.p99Us = m.latency.percentileUs(0.99);
+        forEachCounter(
+            [](const char *, uint64_t &v,
+               const std::atomic<uint64_t> &live) {
+                v = live.load(std::memory_order_relaxed);
+            },
+            s.ep[i], ep_[i]);
+        s.ep[i].lat = ep_[i].latency.buckets();
+        s.ep[i].summarize();
     }
     s.queueDepth = queue_depth;
     s.queuePeak = queuePeak_.load(std::memory_order_relaxed);

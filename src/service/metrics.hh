@@ -36,6 +36,7 @@ class LatencyHisto
 {
   public:
     static constexpr int kBuckets = 40;
+    using Buckets = std::array<uint64_t, kBuckets>;
 
     void
     add(uint64_t us)
@@ -46,22 +47,18 @@ class LatencyHisto
             b++;
         }
         counts_[size_t(b)].fetch_add(1, std::memory_order_relaxed);
-        total_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    uint64_t
-    total() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-
-    /** Approximate p-quantile in microseconds (bucket upper edge). */
-    uint64_t percentileUs(double p) const;
+    /** Relaxed copy of every bucket. */
+    Buckets buckets() const;
 
   private:
     std::array<std::atomic<uint64_t>, kBuckets> counts_{};
-    std::atomic<uint64_t> total_{0};
 };
+
+/** Approximate p-quantile of @p b in microseconds (the bucket's
+ * upper edge); 0 for an empty histogram. */
+uint64_t percentileUs(const LatencyHisto::Buckets &b, double p);
 
 /** Live counters of one endpoint. */
 struct EndpointMetrics
@@ -92,10 +89,39 @@ struct EndpointSnap
     uint64_t errors = 0;
     uint64_t bytesIn = 0;
     uint64_t bytesOut = 0;
+    LatencyHisto::Buckets lat{}; ///< the latency histogram's buckets
+
+    /** Derived from lat by summarize() (never on the wire), so a
+     * merged fleet snapshot reports exact fleet percentiles. */
     uint64_t latCount = 0;
     uint64_t p50Us = 0;
     uint64_t p99Us = 0;
+
+    void summarize();
 };
+
+/**
+ * The ten endpoint counters, each named once: calls
+ * f(label, e.counter...) per counter, in wire order. Each @p e is an
+ * EndpointSnap or an EndpointMetrics (same member names), so one
+ * walk can read live atomics into a snapshot or combine two
+ * snapshots.
+ */
+template <class F, class... E>
+void
+forEachCounter(F &&f, E &...e)
+{
+    f("req", e.requests...);
+    f("ok", e.ok...);
+    f("coal", e.coalesced...);
+    f("cache", e.cacheHits...);
+    f("stale", e.stale...);
+    f("busy", e.busy...);
+    f("ddl", e.deadline...);
+    f("err", e.errors...);
+    f("B in", e.bytesIn...);
+    f("B out", e.bytesOut...);
+}
 
 /** Point-in-time copy of the whole service's metrics. */
 struct StatsSnap
@@ -104,10 +130,10 @@ struct StatsSnap
     uint64_t queueDepth = 0; ///< queued (not running) right now
     uint64_t queuePeak = 0;  ///< high-water mark of queueDepth
     uint64_t inFlight = 0;   ///< running right now
-    uint8_t draining = 0;
+    uint64_t draining = 0;   ///< 1 while the executor drains
 
-    /** Transport-level connection accounting (the server's accept
-     * loop, or the router's client-facing side). */
+    /** Transport-level connection accounting (the listener of the
+     * daemon or of the router). */
     uint64_t liveConns = 0;     ///< connections open right now
     uint64_t connsAccepted = 0; ///< accepted since start
     uint64_t connsRejected = 0; ///< refused with BUSY at max-conns
@@ -147,31 +173,95 @@ struct StatsSnap
      * same campaign; all-zero until it computes a slab. */
     EngineHealth engine{};
 
-    /** Totals across endpoints. */
-    uint64_t totalRequests() const;
-    uint64_t totalCoalesced() const;
-    uint64_t totalCacheHits() const;
-    uint64_t totalBytesIn() const;
-    uint64_t totalBytesOut() const;
+    /** How a fleet roll-up combines one scalar across workers. */
+    enum class Merge
+    {
+        Sum,
+        Max
+    };
 
     /**
-     * Fold one worker's snapshot into this fleet roll-up: counters
-     * and byte totals add; latency percentiles take the worst
-     * worker (histograms aren't mergeable from percentiles alone);
-     * draining ORs. Store fileBytes takes the max — the fleet
-     * shares one slab-store file, so adding per-worker views would
-     * multiply-count the same bytes.
+     * Every scalar above, named once: calls
+     * f(group, label, merge, s.field...) per scalar, in wire and
+     * render order. encode, decode, merge and render all walk this
+     * list. Counters add across a fleet; the shared slab-store
+     * file's size and the draining flag take the max (adding
+     * per-worker views of one file would multiply-count its bytes).
+     */
+    template <class F, class... S>
+    static void
+    forEachStat(F &&f, S &...s)
+    {
+        constexpr Merge Sum = Merge::Sum, Max = Merge::Max;
+        f("queue", "queued", Sum, s.queueDepth...);
+        f("queue", "peak", Sum, s.queuePeak...);
+        f("queue", "in-flight", Sum, s.inFlight...);
+        f("queue", "draining", Max, s.draining...);
+        f("transport", "live conns", Sum, s.liveConns...);
+        f("transport", "accepted", Sum, s.connsAccepted...);
+        f("transport", "rejected", Sum, s.connsRejected...);
+        f("fleet", "workers up", Sum, s.workersUp...);
+        f("fleet", "workers known", Sum, s.workersKnown...);
+        f("fleet", "reroutes", Sum, s.reroutes...);
+        f("breakers", "open now", Sum, s.breakerOpenNow...);
+        f("breakers", "trips", Sum, s.breakerTrips...);
+        f("breakers", "probes", Sum, s.breakerProbes...);
+        f("breakers", "recoveries", Sum, s.breakerRecoveries...);
+        f("breakers", "deadline-shed", Sum, s.deadlineShed...);
+        f("supervisor", "workers", Sum, s.workersSupervised...);
+        f("supervisor", "restarts", Sum, s.supervisorRestarts...);
+        f("supervisor", "crash-looping", Sum,
+          s.supervisorCrashLoops...);
+        f("slab store", "loaded", Sum, s.store.loaded...);
+        f("slab store", "salvaged", Sum, s.store.salvaged...);
+        f("slab store", "stale", Sum, s.store.stale...);
+        f("slab store", "appended", Sum, s.store.appended...);
+        f("slab store", "B appended", Sum, s.store.appendedBytes...);
+        f("slab store", "B on disk", Max, s.store.fileBytes...);
+        f("slab store", "lock waits", Sum, s.store.lockWaits...);
+        f("slab store", "us lock wait", Sum, s.store.lockWaitUs...);
+        f("slab store", "quarantined", Sum, s.store.quarantined...);
+        f("slab engine", "cells batched", Sum,
+          s.engine.cellsBatched...);
+        f("slab engine", "per-cell", Sum, s.engine.cellsPerCell...);
+        f("slab engine", "walks done", Sum, s.engine.walksDone...);
+        f("slab engine", "walks saved", Sum, s.engine.walksSaved...);
+    }
+
+    /** Totals across endpoints. */
+    uint64_t totalRequests() const
+    {
+        return total(&EndpointSnap::requests);
+    }
+    uint64_t totalCacheHits() const
+    {
+        return total(&EndpointSnap::cacheHits);
+    }
+    uint64_t totalBytesOut() const
+    {
+        return total(&EndpointSnap::bytesOut);
+    }
+    uint64_t total(uint64_t EndpointSnap::*counter) const;
+
+    /**
+     * Fold one worker's snapshot into this fleet roll-up: scalars
+     * merge by their forEachStat rule, endpoint counters and latency
+     * buckets add (so the fleet's percentiles are exact), fault
+     * counters add per site.
      */
     void merge(const StatsSnap &w);
 
-    /** Rendered ASCII table (one row per endpoint). */
+    /** Rendered ASCII table (one row per endpoint with traffic),
+     * then one "group: value label, ..." line per non-zero group,
+     * then one line per fault site. */
     std::string render() const;
 
     void encode(ByteWriter &w) const;
     static bool decode(ByteReader &r, StatsSnap *out);
 };
 
-/** The live metrics of one executor. */
+/** The live metrics of one executor, or of a router's own front
+ * end (connection counters only). */
 class ServiceMetrics
 {
   public:

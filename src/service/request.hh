@@ -175,7 +175,7 @@ bool decodeRequestEnvelope(const std::vector<uint8_t> &payload,
                            Request *req, uint32_t *deadline_ms,
                            std::string *err);
 /** Pointer overload for decoding in place from a wire image (the
- * router peeks at relayed frames without copying the payload). */
+ * listener decodes each request without copying its payload). */
 bool decodeRequestEnvelope(const uint8_t *data, size_t n,
                            Request *req, uint32_t *deadline_ms,
                            std::string *err);

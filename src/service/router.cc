@@ -1,12 +1,8 @@
 #include "service/router.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -32,24 +28,24 @@ steadyNowMs()
 
 } // namespace
 
-Router::Router(const Options &opts) : opts_(opts)
+Router::Router(const Options &opts)
+    : opts_(opts),
+      listener_("cisa-router", metrics_,
+                [this](int fd, const Request &req, uint32_t deadline_ms,
+                       const std::vector<uint8_t> &reqWire) {
+                    return answer(fd, req, deadline_ms, reqWire);
+                })
 {
-    if (opts_.address.empty())
-        opts_.address = serveSocketPath();
     if (opts_.replicas <= 0)
         opts_.replicas = routerReplicas();
     if (opts_.poolConns <= 0)
         opts_.poolConns = routerPoolConns();
     if (opts_.healthMs <= 0)
         opts_.healthMs = routerHealthMs();
-    if (opts_.backlog <= 0)
-        opts_.backlog = serveBacklog();
     if (opts_.breakerFails <= 0)
         opts_.breakerFails = breakerFails();
     if (opts_.breakerCooldownMs <= 0)
         opts_.breakerCooldownMs = breakerCooldownMs();
-    maxConns_ = size_t(opts_.maxConns > 0 ? opts_.maxConns
-                                          : serveMaxConns());
     ring_ = ShardRing(opts_.workers);
     // Worker slots must line up with ring indices, so build them
     // from the ring's canonicalized (sorted, deduped) address list.
@@ -68,216 +64,69 @@ Router::~Router()
 bool
 Router::start(std::string *err)
 {
-    panic_if(started_, "router started twice");
     if (workers_.empty()) {
         if (err)
             *err = "router needs at least one worker";
         return false;
     }
-    listenFd_ = listenOn(opts_.address, opts_.backlog, &bound_, err);
-    if (listenFd_ < 0)
+    if (!listener_.start(opts_.address, opts_.backlog, opts_.maxConns,
+                         err))
         return false;
-    if (::pipe(wakePipe_) != 0) {
-        if (err)
-            *err = strfmt("pipe: %s", std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        unlinkIfUnix(bound_);
-        return false;
-    }
-    started_ = true;
-    acceptor_ = std::thread([this] { acceptLoop(); });
     health_ = std::thread([this] { healthLoop(); });
     inform("cisa-router listening on %s (%zu workers, R=%d)",
-           bound_.c_str(), workers_.size(), opts_.replicas);
+           boundAddress().c_str(), workers_.size(), opts_.replicas);
     return true;
-}
-
-void
-Router::requestStop()
-{
-    // Async-signal-safe: one atomic store and one write(). The
-    // health thread polls the flag on its next timeout tick.
-    stopRequested_.store(true, std::memory_order_release);
-    if (wakePipe_[1] >= 0) {
-        char b = 1;
-        [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-    }
 }
 
 void
 Router::waitUntilStopped()
 {
-    if (!started_)
-        return;
-    if (acceptor_.joinable())
-        acceptor_.join();
+    listener_.waitForStop();
     stop();
 }
 
 void
 Router::stop()
 {
-    if (!started_ || stopped_.exchange(true))
+    if (!listener_.stopAccepting())
         return;
-
-    requestStop();
-    if (acceptor_.joinable())
-        acceptor_.join();
-    healthCv_.notify_all();
-    if (health_.joinable())
-        health_.join();
-
-    // Unblock client readers, then wait for their threads; each
-    // closes its own fd (same protocol as the daemon).
     {
-        std::unique_lock<std::mutex> lk(connMu_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RD);
-        connCv_.wait(lk, [&] { return connCount_ == 0; });
+        std::lock_guard<std::mutex> lk(healthMu_);
+        healthStop_ = true;
     }
-
-    ::close(listenFd_);
-    listenFd_ = -1;
-    unlinkIfUnix(bound_);
-    ::close(wakePipe_[0]);
-    ::close(wakePipe_[1]);
-    wakePipe_[0] = wakePipe_[1] = -1;
-
+    healthCv_.notify_all();
+    health_.join();
+    listener_.closeConnections();
     for (auto &w : workers_) {
         std::lock_guard<std::mutex> lk(w->mu);
         for (int fd : w->pool)
             ::close(fd);
         w->pool.clear();
     }
-    inform("cisa-router stopped (%s)", bound_.c_str());
+    inform("cisa-router stopped (%s)", boundAddress().c_str());
 }
 
-void
-Router::acceptLoop()
+bool
+Router::answer(int fd, const Request &req, uint32_t deadline_ms,
+               const std::vector<uint8_t> &reqWire)
 {
-    for (;;) {
-        if (stopRequested_.load(std::memory_order_acquire))
-            return;
-        pollfd fds[2] = {{listenFd_, POLLIN, 0},
-                         {wakePipe_[0], POLLIN, 0}};
-        int rc = ::poll(fds, 2, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("cisa-router accept poll: %s",
-                 std::strerror(errno));
-            return;
-        }
-        if (fds[1].revents ||
-            stopRequested_.load(std::memory_order_acquire))
-            return;
-        if (!(fds[0].revents & POLLIN))
-            continue;
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("cisa-router accept: %s", std::strerror(errno));
-            continue;
-        }
-        setNoDelay(fd);
-        bool over;
-        {
-            std::lock_guard<std::mutex> lk(connMu_);
-            over = connCount_ >= maxConns_;
-            if (!over) {
-                connFds_.insert(fd);
-                connCount_++;
-            }
-        }
-        if (over) {
-            connsRejected_.fetch_add(1, std::memory_order_relaxed);
-            ByteWriter w;
-            Response::fail(Status::Busy, "connection limit")
-                .encode(w);
-            writeFrame(fd, FrameKind::Response, w.take());
-            ::close(fd);
-            continue;
-        }
-        connsAccepted_.fetch_add(1, std::memory_order_relaxed);
-        std::thread([this, fd] { serveConnection(fd); }).detach();
+    if (req.type == ReqType::Stats) {
+        // Answered by the router: the fleet roll-up, not any single
+        // worker's view.
+        Response resp;
+        ByteWriter body;
+        fleetStats().encode(body);
+        resp.body = body.take();
+        ByteWriter w;
+        resp.encode(w);
+        return writeFrame(fd, FrameKind::Response, w.take());
     }
-}
-
-void
-Router::serveConnection(int fd)
-{
-    serveFrames(fd);
-    std::lock_guard<std::mutex> lk(connMu_);
-    connFds_.erase(fd);
-    ::close(fd);
-    connCount_--;
-    connCv_.notify_all();
-}
-
-void
-Router::serveFrames(int fd)
-{
-    // Reused across requests: readFrameWire resizes in place, so a
-    // steady stream of ~140 KiB slab relays costs no allocations
-    // after the first.
-    std::vector<uint8_t> reqWire, respWire;
-    for (;;) {
-        FrameKind kind;
-        std::string err;
-        // Requests are small (tens of bytes): verifying their
-        // checksum here costs nothing and catches corruption before
-        // it picks a worker.
-        FrameRead fr = readFrameWire(fd, &reqWire, &kind, &err, true);
-        if (fr == FrameRead::Eof)
-            return;
-        if (fr == FrameRead::Bad) {
-            ByteWriter w;
-            Response::fail(Status::BadRequest, err).encode(w);
-            writeFrame(fd, FrameKind::Response, w.take());
-            return; // framing untrustworthy: close, like the daemon
-        }
-
-        Request req;
-        uint32_t deadline_ms = 0;
-        if (kind != FrameKind::Request) {
-            ByteWriter w;
-            Response::fail(Status::BadRequest,
-                           "expected a request frame")
-                .encode(w);
-            if (!writeFrame(fd, FrameKind::Response, w.take()))
-                return;
-            continue;
-        }
-        if (!decodeRequestEnvelope(reqWire.data() + kFrameHeaderBytes,
-                                   reqWire.size() - kFrameHeaderBytes,
-                                   &req, &deadline_ms, &err)) {
-            ByteWriter w;
-            Response::fail(Status::BadRequest, err).encode(w);
-            if (!writeFrame(fd, FrameKind::Response, w.take()))
-                return;
-            continue;
-        }
-
-        if (req.type == ReqType::Stats) {
-            // Answered by the router: the fleet roll-up, not any
-            // single worker's view.
-            Response resp;
-            ByteWriter body;
-            fleetStats().encode(body);
-            resp.body = body.take();
-            ByteWriter w;
-            resp.encode(w);
-            if (!writeFrame(fd, FrameKind::Response, w.take()))
-                return;
-            continue;
-        }
-
-        forward(req, deadline_ms, reqWire, &respWire);
-        if (!writeWire(fd, respWire))
-            return;
-    }
+    // One relay buffer per connection (each runs on its own thread):
+    // a ~141 KiB slab response is past glibc's mmap threshold, so a
+    // fresh buffer per request would cost an mmap/munmap pair.
+    thread_local std::vector<uint8_t> respWire;
+    forward(req, deadline_ms, reqWire, &respWire);
+    return writeWire(fd, respWire);
 }
 
 std::pair<int, bool>
@@ -315,8 +164,8 @@ Router::exchange(size_t wi, const std::vector<uint8_t> &reqWire,
         if (!writeWire(fd, reqWire))
             return false;
         FrameKind kind;
-        return readFrameWire(fd, respWire, &kind, &err,
-                             opts_.verifyRelay) == FrameRead::Ok &&
+        return readFrameWire(fd, respWire, &kind, &err, false) ==
+                   FrameRead::Ok &&
                kind == FrameKind::Response;
     };
     auto [fd, pooled] = borrowConn(w, &err);
@@ -517,9 +366,9 @@ Router::healthLoop()
         encodeRequestEnvelope(Request::ping(), 0));
     std::unique_lock<std::mutex> lk(healthMu_);
     for (;;) {
-        healthCv_.wait_for(
-            lk, std::chrono::milliseconds(opts_.healthMs));
-        if (stopRequested_.load(std::memory_order_acquire))
+        if (healthCv_.wait_for(lk,
+                               std::chrono::milliseconds(opts_.healthMs),
+                               [&] { return healthStop_; }))
             return;
         for (auto &wp : workers_) {
             Worker &w = *wp;
@@ -555,12 +404,12 @@ Router::fleetStats()
     const std::vector<uint8_t> statsWire = encodeFrame(
         FrameKind::Request,
         encodeRequestEnvelope(Request::stats(), 0));
-    StatsSnap out{};
-    uint64_t up = 0;
+    // The router's own client connections and fault counters
+    // (net.connect etc. fire here too) join the roll-up the same way
+    // a worker's do.
+    StatsSnap out = metrics_.snapshot(0, 0, false);
     for (size_t wi = 0; wi < workers_.size(); wi++) {
-        if (workers_[wi]->up.load(std::memory_order_relaxed))
-            up++;
-        else
+        if (!workers_[wi]->up.load(std::memory_order_relaxed))
             continue; // don't block the stats path on a dead worker
         std::vector<uint8_t> respWire;
         if (!exchange(wi, statsWire, &respWire))
@@ -576,18 +425,15 @@ Router::fleetStats()
         if (StatsSnap::decode(br, &s))
             out.merge(s);
     }
-    // Recount after the exchanges: one may have flipped a flag.
-    up = 0;
-    for (auto &w : workers_)
+    // Counted after the exchanges: one may have flipped a flag.
+    out.workersKnown += workers_.size();
+    for (auto &w : workers_) {
         if (w->up.load(std::memory_order_relaxed))
-            up++;
-    out.workersKnown = workers_.size();
-    out.workersUp = up;
+            out.workersUp++;
+        if (w->breaker.load(std::memory_order_relaxed) != 0)
+            out.breakerOpenNow++;
+    }
     out.reroutes += reroutes_.load(std::memory_order_relaxed);
-    out.connsAccepted +=
-        connsAccepted_.load(std::memory_order_relaxed);
-    out.connsRejected +=
-        connsRejected_.load(std::memory_order_relaxed);
     out.breakerTrips +=
         breakerTrips_.load(std::memory_order_relaxed);
     out.breakerProbes +=
@@ -596,18 +442,6 @@ Router::fleetStats()
         breakerRecoveries_.load(std::memory_order_relaxed);
     out.deadlineShed +=
         deadlineShed_.load(std::memory_order_relaxed);
-    for (auto &w : workers_)
-        if (w->breaker.load(std::memory_order_relaxed) != 0)
-            out.breakerOpenNow++;
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        out.liveConns += connCount_;
-    }
-    // The router's own fault counters (net.connect etc. fire here
-    // too) join the roll-up the same way a worker's do.
-    StatsSnap self{};
-    self.faults = faultSnapshot();
-    out.merge(self);
     if (opts_.statsAugment)
         opts_.statsAugment(out);
     return out;

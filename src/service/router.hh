@@ -1,7 +1,7 @@
 /**
  * @file
- * The cisa-serve fleet router: a front-end that accepts the same
- * frame protocol as the daemon and relays each request to one of N
+ * The cisa-serve fleet router: the daemon's front end
+ * (src/service/listener.hh) relaying each request to one of N
  * workers chosen by consistent-hashing its routing key
  * (src/service/shard.hh), so every slab's compute-and-cache work
  * lands on a stable owner while the fleet scales out.
@@ -10,17 +10,18 @@
  * wire bytes, is peeked (envelope decode — a few dozen bytes) for
  * its routing key, and the *same bytes* are forwarded; the worker's
  * response wire image is forwarded back verbatim. Response payload
- * checksums are not re-verified by default (the client verifies;
- * corruption between worker and client is caught there) — a ~140 KiB
- * slab response crosses the router without a single checksum pass or
- * allocation beyond the read buffer.
+ * checksums are not re-verified (the client verifies; corruption
+ * between worker and client is caught there) — a ~140 KiB slab
+ * response crosses the router without a single checksum pass or
+ * allocation beyond the connection's relay buffer.
  *
  * Placement: cacheable requests (Eval/Slab/Table) rotate round-robin
  * across the key's replica set — ownersOf(key, R) — so a hot slab is
  * warm on R workers instead of melting one; keyless requests (Ping,
  * Search) go to their fingerprint's primary. Stats is answered by
  * the router itself with the fleet roll-up (every worker's snapshot
- * merged, plus router-level connection/reroute/health counters).
+ * merged with the router's own connection, reroute, breaker and
+ * health counters).
  *
  * Churn: a send or read failing on a pooled worker connection is
  * retried once on a fresh connection (the pooled fd may simply be
@@ -61,11 +62,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "service/listener.hh"
 #include "service/metrics.hh"
 #include "service/shard.hh"
 
@@ -93,9 +94,6 @@ class Router
         /** Open-breaker cooldown before the half-open probe;
          * 0 = CISA_BREAKER_COOLDOWN_MS. */
         int breakerCooldownMs = 0;
-        /** Re-verify relayed response payload checksums in the
-         * router (off: endpoints verify; see file comment). */
-        bool verifyRelay = false;
         /** Called on every fleetStats() roll-up so an embedding
          * process (cisa_fleetd) can graft its own counters —
          * supervisor restarts, crash loops — into the snapshot. */
@@ -110,10 +108,14 @@ class Router
 
     bool start(std::string *err = nullptr);
     void stop();
-    void requestStop(); ///< async-signal-safe
+    /** Async-signal-safe; the stop runs in waitUntilStopped(). */
+    void requestStop() { listener_.requestStop(); }
     void waitUntilStopped();
 
-    const std::string &boundAddress() const { return bound_; }
+    const std::string &boundAddress() const
+    {
+        return listener_.boundAddress();
+    }
 
     const ShardRing &ring() const { return ring_; }
 
@@ -135,9 +137,10 @@ class Router
         std::atomic<int64_t> openUntilMs{0};
     };
 
-    void acceptLoop();
-    void serveConnection(int fd);
-    void serveFrames(int fd);
+    /** The listener's answer: the fleet roll-up for Stats, a relay
+     * through forward() for everything else. */
+    bool answer(int fd, const Request &req, uint32_t deadline_ms,
+                const std::vector<uint8_t> &reqWire);
 
     /** Borrow a pooled connection (second = true if pooled). */
     std::pair<int, bool> borrowConn(Worker &w, std::string *err);
@@ -170,35 +173,26 @@ class Router
     void healthLoop();
 
     Options opts_;
-    std::string bound_;
-    size_t maxConns_;
     ShardRing ring_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
-    int listenFd_ = -1;
-    int wakePipe_[2] = {-1, -1};
-    std::atomic<bool> stopRequested_{false};
-    std::atomic<bool> stopped_{false};
-    bool started_ = false;
-
-    std::thread acceptor_;
-    std::thread health_;
     std::mutex healthMu_;
     std::condition_variable healthCv_;
+    bool healthStop_ = false; ///< under healthMu_
 
-    std::mutex connMu_;
-    std::condition_variable connCv_;
-    std::set<int> connFds_;
-    size_t connCount_ = 0;
-
+    /** The router's own counters: client connections (kept by the
+     * listener) and fault-plane hits. */
+    ServiceMetrics metrics_;
     std::atomic<uint64_t> rr_{0}; ///< replica rotation counter
     std::atomic<uint64_t> reroutes_{0};
-    std::atomic<uint64_t> connsAccepted_{0};
-    std::atomic<uint64_t> connsRejected_{0};
     std::atomic<uint64_t> breakerTrips_{0};
     std::atomic<uint64_t> breakerProbes_{0};
     std::atomic<uint64_t> breakerRecoveries_{0};
     std::atomic<uint64_t> deadlineShed_{0};
+
+    std::thread health_;
+    /** Last: its connection threads call answer(). */
+    Listener listener_;
 };
 
 } // namespace cisa

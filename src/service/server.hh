@@ -1,56 +1,44 @@
 /**
  * @file
- * The cisa-serve transport: a stream socket (UNIX-domain or TCP —
- * src/service/address.hh) speaking the frame protocol of
- * src/service/frame.hh, one thread per client connection, all
- * computation delegated to the shared Executor.
- *
- * Protocol per connection: the client sends Request frames (request
- * envelope payloads) and receives exactly one Response frame per
- * request, in order. A malformed envelope gets a BADREQ response
- * and the connection stays usable; a corrupt frame (bad magic,
- * checksum, oversized length) gets one BADREQ response and the
- * connection is closed, since framing can no longer be trusted.
+ * The cisa-serve daemon: the shared front end of
+ * src/service/listener.hh (socket, connection threads, frame loop,
+ * two-step shutdown) answering every request through one Executor.
  *
  * Backpressure is end-to-end: when the executor's queue is at its
  * bound the response is an immediate BUSY frame — the server never
  * buffers requests beyond the bound, so a flood cannot grow memory
- * without limit. The same applies one layer down: past
- * CISA_SERVE_MAX_CONNS live connections, a new connection gets one
- * BUSY frame and an immediate close instead of a thread.
+ * without limit. The listener's CISA_SERVE_MAX_CONNS shed does the
+ * same one layer down.
  *
  * Wire cache: cacheable Ok responses are kept as fully encoded
  * frames (header + checksum + payload) in a bounded LRU keyed by
- * request fingerprint. A repeat request is answered by writing those
- * bytes verbatim — no executor round-trip, no re-encode, and above
- * all no second checksum pass over a ~140 KiB slab payload, which is
- * where a cached-slab request spends most of its CPU. Fingerprints
- * are exact (canonical request bytes), responses are deterministic,
- * and the cache is bypassed while draining so shutdown still answers
- * BUSY.
+ * request fingerprint, sized like the executor's response cache (so
+ * a capacity of 0 turns both off). A repeat request is answered by
+ * writing those bytes verbatim — no executor round-trip, no
+ * re-encode, and above all no second checksum pass over a ~140 KiB
+ * slab payload, which is where a cached-slab request spends most of
+ * its CPU. Fingerprints are exact (canonical request bytes),
+ * responses are deterministic, and the cache is bypassed while
+ * draining so shutdown still answers BUSY.
  *
  * Shutdown: stop() (or requestStop() from a signal handler) stops
  * accepting, lets the executor drain queued and running work (new
- * requests meanwhile get BUSY), then closes client sockets and
- * joins. In-flight responses are delivered before their connections
- * close.
+ * requests meanwhile get BUSY), then closes client connections. In-
+ * flight responses are delivered before their connections close.
  */
 
 #ifndef CISA_SERVICE_SERVER_HH
 #define CISA_SERVICE_SERVER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "service/executor.hh"
+#include "service/listener.hh"
 
 namespace cisa
 {
@@ -83,32 +71,26 @@ class Server
     /** Graceful shutdown; idempotent, safe to call unstarted. */
     void stop();
 
-    /**
-     * Async-signal-safe shutdown trigger for SIGTERM/SIGINT
-     * handlers: flags the acceptor and wakes it via the self-pipe.
-     * The actual drain happens on the thread that calls stop() (or
-     * waitUntilStopped()).
-     */
-    void requestStop();
+    /** Async-signal-safe shutdown trigger for SIGTERM/SIGINT
+     * handlers; the drain happens in stop() or waitUntilStopped(). */
+    void requestStop() { listener_.requestStop(); }
 
     /** Block until requestStop() fires, then run the graceful stop
      * sequence. The daemon main loop. */
     void waitUntilStopped();
 
-    /** The configured address (as passed in / from env). */
-    const std::string &address() const { return addr_; }
-
-    /** The actually-bound address — equals address() except for TCP
-     * "host:0", where it carries the kernel-assigned port. Valid
+    /** The actually-bound address (see Options::address). Valid
      * after start(). */
-    const std::string &boundAddress() const { return bound_; }
+    const std::string &boundAddress() const
+    {
+        return listener_.boundAddress();
+    }
 
     Executor &executor() { return *exec_; }
 
   private:
-    void acceptLoop();
-    void serveConnection(int fd);
-    void serveFrames(int fd);
+    bool answer(int fd, const Request &req, uint32_t deadline_ms,
+                const std::vector<uint8_t> &reqWire);
 
     using WirePtr = std::shared_ptr<const std::vector<uint8_t>>;
 
@@ -116,10 +98,7 @@ class Server
     WirePtr cachedWire(uint64_t key);
     void cacheWire(uint64_t key, WirePtr wire);
 
-    std::string addr_;
-    std::string bound_;
-    int backlog_;
-    size_t maxConns_;
+    Options opts_;
     std::unique_ptr<Executor> exec_;
 
     std::mutex wireMu_;
@@ -129,21 +108,8 @@ class Server
         uint64_t, std::list<std::pair<uint64_t, WirePtr>>::iterator>
         wireIdx_;
 
-    int listenFd_ = -1;
-    int wakePipe_[2] = {-1, -1};
-    std::atomic<bool> stopRequested_{false};
-    std::atomic<bool> stopped_{false};
-    bool started_ = false;
-
-    std::thread acceptor_;
-    /** Live connections: each runs on a detached thread that closes
-     * its own fd and drops out of the set when the client leaves,
-     * so long-lived daemons don't accumulate dead fds or threads.
-     * The count lets stop() wait for every thread to finish. */
-    std::mutex connMu_;
-    std::condition_variable connCv_;
-    std::set<int> connFds_;
-    size_t connCount_ = 0;
+    /** Last: its connection threads call answer(). */
+    Listener listener_;
 };
 
 } // namespace cisa

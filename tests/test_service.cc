@@ -9,10 +9,11 @@
  * remap under churn, replica sets), and end-to-end loopbacks over
  * real sockets — UNIX and TCP: concurrent clients, byte-identical
  * responses, coalesce accounting, deadline frames, graceful-drain
- * BUSY rejection, connection limits, drip-fed partial reads,
- * checksum corruption in transit, client retry policies, and the
- * router fleet (relay byte-identity, stats roll-up, failover when a
- * worker dies mid-stream or entirely).
+ * BUSY rejection, drip-fed partial reads, checksum corruption in
+ * transit, client retry policies, the shared front end's connection
+ * limit, bad frames and accept faults on both the daemon and the
+ * router, and the router fleet (relay byte-identity, stats roll-up,
+ * failover when a worker dies mid-stream or entirely).
  */
 
 #include <cstdlib>
@@ -44,11 +45,11 @@ struct EnvSetup
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <poll.h>
 
+#include "common/faultinject.hh"
 #include "common/hash.hh"
 #include "explore/campaign.hh"
 #include "service/address.hh"
@@ -405,28 +406,28 @@ TEST(ResponseCodec, TypedBodiesRoundTrip)
 
 TEST(StatsCodec, RoundTrips)
 {
+    // Every scalar, endpoint counter and latency bucket gets its own
+    // value, so a field dropped, swapped or misplaced on the wire
+    // cannot survive the comparison.
     StatsSnap in;
-    in.ep[size_t(ReqType::Slab)].requests = 17;
-    in.ep[size_t(ReqType::Slab)].coalesced = 5;
-    in.ep[size_t(ReqType::Search)].deadline = 2;
-    in.queueDepth = 3;
-    in.queuePeak = 9;
-    in.inFlight = 2;
-    in.draining = 1;
-    in.store.loaded = 4;
-    in.store.appendedBytes = 12345;
-    in.engine.cellsBatched = 17640;
-    in.engine.cellsPerCell = 8;
-    in.engine.walksDone = 600;
-    in.engine.walksSaved = 17048;
-    in.ep[size_t(ReqType::Slab)].bytesIn = 4096;
-    in.ep[size_t(ReqType::Slab)].bytesOut = 1u << 20;
-    in.liveConns = 3;
-    in.connsAccepted = 11;
-    in.connsRejected = 2;
-    in.reroutes = 7;
-    in.workersUp = 3;
-    in.workersKnown = 4;
+    uint64_t next = 1;
+    for (EndpointSnap &e : in.ep) {
+        forEachCounter([&](const char *, uint64_t &v) { v = next++; },
+                       e);
+        for (uint64_t &b : e.lat)
+            b = next++;
+        e.summarize();
+    }
+    size_t scalars = 0;
+    StatsSnap::forEachStat(
+        [&](const char *, const char *, StatsSnap::Merge, uint64_t &v) {
+            v = next++;
+            scalars++;
+        },
+        in);
+    EXPECT_EQ(scalars, 31u);
+    in.faults = {{"net.read", 1001, 7}, {"disk.fsync", 1002, 8}};
+
     ByteWriter w;
     in.encode(w);
     std::vector<uint8_t> wire = w.take();
@@ -434,47 +435,75 @@ TEST(StatsCodec, RoundTrips)
     StatsSnap out;
     ASSERT_TRUE(StatsSnap::decode(r, &out));
     EXPECT_TRUE(r.atEnd());
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].requests, 17u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].coalesced, 5u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Search)].deadline, 2u);
-    EXPECT_EQ(out.queuePeak, 9u);
-    EXPECT_EQ(out.draining, 1);
-    EXPECT_EQ(out.totalRequests(), 17u);
-    EXPECT_EQ(out.totalCoalesced(), 5u);
-    EXPECT_EQ(out.store.loaded, 4u);
-    EXPECT_EQ(out.store.appendedBytes, 12345u);
-    EXPECT_EQ(out.engine.cellsBatched, 17640u);
-    EXPECT_EQ(out.engine.cellsPerCell, 8u);
-    EXPECT_EQ(out.engine.walksDone, 600u);
-    EXPECT_EQ(out.engine.walksSaved, 17048u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].bytesIn, 4096u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].bytesOut,
-              uint64_t(1u << 20));
-    EXPECT_EQ(out.totalBytesIn(), 4096u);
-    EXPECT_EQ(out.totalBytesOut(), uint64_t(1u << 20));
-    EXPECT_EQ(out.liveConns, 3u);
-    EXPECT_EQ(out.connsAccepted, 11u);
-    EXPECT_EQ(out.connsRejected, 2u);
-    EXPECT_EQ(out.reroutes, 7u);
-    EXPECT_EQ(out.workersUp, 3u);
-    EXPECT_EQ(out.workersKnown, 4u);
+
+    for (size_t i = 0; i < in.ep.size(); i++) {
+        forEachCounter(
+            [&](const char *label, uint64_t want, uint64_t got) {
+                EXPECT_EQ(got, want) << "endpoint " << i << " " << label;
+            },
+            in.ep[i], out.ep[i]);
+        EXPECT_EQ(out.ep[i].lat, in.ep[i].lat) << "endpoint " << i;
+        EXPECT_EQ(out.ep[i].latCount, in.ep[i].latCount);
+        EXPECT_EQ(out.ep[i].p50Us, in.ep[i].p50Us);
+        EXPECT_EQ(out.ep[i].p99Us, in.ep[i].p99Us);
+    }
+    StatsSnap::forEachStat(
+        [&](const char *group, const char *label, StatsSnap::Merge,
+            uint64_t want, uint64_t got) {
+            EXPECT_EQ(got, want) << group << ": " << label;
+        },
+        in, out);
+    ASSERT_EQ(out.faults.size(), 2u);
+    for (size_t i = 0; i < 2; i++) {
+        EXPECT_EQ(out.faults[i].site, in.faults[i].site);
+        EXPECT_EQ(out.faults[i].checks, in.faults[i].checks);
+        EXPECT_EQ(out.faults[i].fired, in.faults[i].fired);
+    }
+    EXPECT_EQ(out.totalRequests(), in.totalRequests());
+    EXPECT_EQ(out.totalBytesOut(), in.totalBytesOut());
+}
+
+TEST(StatsCodec, EveryTruncationRejected)
+{
+    StatsSnap in;
+    in.ep[size_t(ReqType::Slab)].requests = 17;
+    in.ep[size_t(ReqType::Slab)].lat[5] = 3;
+    in.breakerTrips = 2;
+    in.faults = {{"net.read", 40, 2}, {"net.accept", 9, 1}};
+    ByteWriter w;
+    in.encode(w);
+    const std::vector<uint8_t> wire = w.take();
+    for (size_t n = 0; n < wire.size(); n++) {
+        ByteReader r(wire.data(), n);
+        StatsSnap out;
+        EXPECT_FALSE(StatsSnap::decode(r, &out)) << "prefix " << n;
+    }
+
+    // More fault sites than the plane has is corrupt, even when
+    // every entry is well-formed.
+    in.faults.assign(size_t(kFaultSiteCount) + 1,
+                     FaultCounterSnap{"net.read", 1, 1});
+    ByteWriter big;
+    in.encode(big);
+    std::vector<uint8_t> tooMany = big.take();
+    ByteReader r(tooMany);
+    StatsSnap out;
+    EXPECT_FALSE(StatsSnap::decode(r, &out));
 }
 
 TEST(StatsCodec, MergeRollsUpWorkerSnapshots)
 {
     StatsSnap a, b;
     auto &sa = a.ep[size_t(ReqType::Slab)];
-    sa.requests = 10;
-    sa.ok = 9;
+    sa.requests = 100;
+    sa.ok = 99;
     sa.bytesOut = 1000;
-    sa.latCount = 9;
-    sa.p99Us = 500;
+    sa.lat[5] = 99; // 99 samples in [16, 32) us
     auto &sb = b.ep[size_t(ReqType::Slab)];
     sb.requests = 4;
-    sb.ok = 4;
+    sb.ok = 1;
     sb.bytesOut = 400;
-    sb.latCount = 4;
-    sb.p99Us = 900;
+    sb.lat[20] = 1; // one sample near a second
     a.liveConns = 2;
     b.liveConns = 1;
     b.draining = 1;
@@ -489,13 +518,17 @@ TEST(StatsCodec, MergeRollsUpWorkerSnapshots)
     fleet.merge(a);
     fleet.merge(b);
     const auto &slab = fleet.ep[size_t(ReqType::Slab)];
-    EXPECT_EQ(slab.requests, 14u);
-    EXPECT_EQ(slab.ok, 13u);
+    EXPECT_EQ(slab.requests, 104u);
+    EXPECT_EQ(slab.ok, 100u);
     EXPECT_EQ(slab.bytesOut, 1400u);
-    EXPECT_EQ(slab.latCount, 13u);
-    EXPECT_EQ(slab.p99Us, 900u); // worst worker, not a sum
+    EXPECT_EQ(slab.latCount, 100u);
+    // Exact fleet percentiles: 99 of the fleet's 100 samples took
+    // under 32 us, so its p99 is 32 us — not the slowest worker's
+    // 2^20 us.
+    EXPECT_EQ(slab.p50Us, 32u);
+    EXPECT_EQ(slab.p99Us, 32u);
     EXPECT_EQ(fleet.liveConns, 3u);
-    EXPECT_EQ(fleet.draining, 1);
+    EXPECT_EQ(fleet.draining, 1u);
     EXPECT_EQ(fleet.store.fileBytes, 5000u);
     EXPECT_EQ(fleet.store.appendedBytes, 300u);
 }
@@ -929,11 +962,72 @@ TEST(Executor, StatsServedInlineWhenSaturated)
 // ---------------------------------------------------------------
 
 std::string
-testSocketPath(const char *tag)
+testSocketPath(const std::string &tag)
 {
-    return std::string("/tmp/cisa_serve_test_") + tag + "_" +
+    return "/tmp/cisa_serve_test_" + tag + "_" +
            std::to_string(getpid()) + ".sock";
 }
+
+/** One frame off @p fd; on Ok its payload is decoded into @p resp. */
+FrameRead
+readResponse(int fd, Response *resp, std::string *err = nullptr)
+{
+    std::vector<uint8_t> wire;
+    FrameKind kind = FrameKind::Request;
+    FrameRead fr = readFrameWire(fd, &wire, &kind, err);
+    if (fr == FrameRead::Ok) {
+        EXPECT_EQ(kind, FrameKind::Response);
+        ByteReader r(wire.data() + kFrameHeaderBytes,
+                     wire.size() - kFrameHeaderBytes);
+        EXPECT_TRUE(Response::decode(r, resp));
+    }
+    return fr;
+}
+
+/**
+ * Either front end on one address: a daemon, or (@p routed) a router
+ * over one worker daemon. @p maxConns bounds whichever one clients
+ * reach. Stops both on destruction.
+ */
+struct FrontEnd
+{
+    FrontEnd(bool routed, const std::string &tag, int maxConns = 0)
+    {
+        Server::Options so;
+        so.address = testSocketPath(routed ? tag + "_worker" : tag);
+        so.maxConns = routed ? 0 : maxConns;
+        server = std::make_unique<Server>(so);
+        if (routed) {
+            Router::Options ro;
+            ro.address = testSocketPath(tag);
+            ro.workers = {so.address};
+            ro.maxConns = maxConns;
+            router = std::make_unique<Router>(ro);
+        }
+    }
+
+    ~FrontEnd()
+    {
+        if (router)
+            router->stop();
+        server->stop();
+    }
+
+    bool
+    start(std::string *err)
+    {
+        return server->start(err) && (!router || router->start(err));
+    }
+
+    const std::string &
+    address() const
+    {
+        return router ? router->boundAddress() : server->boundAddress();
+    }
+
+    std::unique_ptr<Server> server;
+    std::unique_ptr<Router> router;
+};
 
 TEST(ServerE2E, ConcurrentClientsByteIdenticalAndCoalesced)
 {
@@ -1023,64 +1117,49 @@ TEST(ServerE2E, SlowRequestShortDeadlineGetsDeadlineFrame)
 
 TEST(ServerE2E, CorruptFramesRejectedCleanly)
 {
-    Server::Options opts;
-    opts.address = testSocketPath("bad");
-    Server server(opts);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
+    for (bool routed : {false, true}) {
+        SCOPED_TRACE(routed ? "router" : "daemon");
+        FrontEnd fe(routed, "bad");
+        std::string err;
+        ASSERT_TRUE(fe.start(&err)) << err;
+        int fd = connectTo(fe.address(), &err);
+        ASSERT_GE(fd, 0) << err;
 
-    // A valid frame whose payload is not a request envelope gets a
-    // BADREQ response and the connection stays usable.
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                  opts.address.c_str());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    ASSERT_TRUE(
-        writeFrame(fd, FrameKind::Request, {0xde, 0xad, 0xbe}));
-    Frame f;
-    ASSERT_EQ(readFrame(fd, &f, &err), FrameRead::Ok) << err;
-    {
-        ByteReader r(f.payload);
+        // A valid frame whose payload is not a request envelope, or
+        // that is not a request frame at all, gets a BADREQ response
+        // and the connection stays usable.
         Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
+        ASSERT_TRUE(
+            writeFrame(fd, FrameKind::Request, {0xde, 0xad, 0xbe}));
+        ASSERT_EQ(readResponse(fd, &resp, &err), FrameRead::Ok) << err;
         EXPECT_EQ(resp.status, Status::BadRequest);
-    }
+        ASSERT_TRUE(writeFrame(fd, FrameKind::Response,
+                               encodeRequestEnvelope(Request::ping(), 0)));
+        ASSERT_EQ(readResponse(fd, &resp, &err), FrameRead::Ok) << err;
+        EXPECT_EQ(resp.status, Status::BadRequest);
 
-    // Same connection still answers a well-formed request.
-    ASSERT_TRUE(writeFrame(
-        fd, FrameKind::Request,
-        encodeRequestEnvelope(Request::ping(), 0)));
-    ASSERT_EQ(readFrame(fd, &f, &err), FrameRead::Ok) << err;
-    {
-        ByteReader r(f.payload);
-        Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
+        // Same connection still answers a well-formed request.
+        ASSERT_TRUE(writeFrame(fd, FrameKind::Request,
+                               encodeRequestEnvelope(Request::ping(), 0)));
+        ASSERT_EQ(readResponse(fd, &resp, &err), FrameRead::Ok) << err;
         EXPECT_EQ(resp.status, Status::Ok);
-    }
 
-    // Raw garbage (no valid frame header) gets one final response
-    // and then the connection is terminated — never a crash or a
-    // hang. (The close may surface as EOF or as ECONNRESET when the
-    // server discards unread junk; both are a clean termination.)
-    const uint8_t junk[32] = {0x13, 0x37};
-    ASSERT_EQ(::write(fd, junk, sizeof(junk)), ssize_t(sizeof(junk)));
-    FrameRead rc = readFrame(fd, &f, &err);
-    if (rc == FrameRead::Ok) {
-        ByteReader r(f.payload);
-        Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
-        EXPECT_EQ(resp.status, Status::BadRequest);
-        rc = readFrame(fd, &f, &err);
+        // Raw garbage (no valid frame header) gets one final response
+        // and then the connection is terminated — never a crash or a
+        // hang. (The close may surface as EOF or as ECONNRESET when
+        // the server discards unread junk; both are a clean
+        // termination.)
+        const uint8_t junk[32] = {0x13, 0x37};
+        ASSERT_EQ(::write(fd, junk, sizeof(junk)),
+                  ssize_t(sizeof(junk)));
+        FrameRead rc = readResponse(fd, &resp, &err);
+        if (rc == FrameRead::Ok) {
+            EXPECT_EQ(resp.status, Status::BadRequest);
+            rc = readResponse(fd, &resp, &err);
+        }
+        EXPECT_NE(rc, FrameRead::Ok);
+        ::close(fd);
     }
-    EXPECT_NE(rc, FrameRead::Ok);
-    ::close(fd);
-
-    server.stop();
 }
 
 TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
@@ -1136,53 +1215,113 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
 
 TEST(ServerE2E, MaxConnsRejectsExtraConnectionsWithBusy)
 {
+    for (bool routed : {false, true}) {
+        SCOPED_TRACE(routed ? "router" : "daemon");
+        FrontEnd fe(routed, "maxc", 1);
+        std::string err;
+        ASSERT_TRUE(fe.start(&err)) << err;
+
+        Client first;
+        ASSERT_TRUE(first.connect(fe.address(), &err)) << err;
+        // A round-trip guarantees the connection has been accepted
+        // and counted before the second one arrives.
+        EXPECT_EQ(first.ping(), Status::Ok);
+
+        // The second connection is accepted at the socket level, then
+        // refused with one unsolicited BUSY frame and closed — a
+        // reader sees a clean, typed rejection, not a hang or a
+        // reset.
+        int fd = connectTo(fe.address(), &err);
+        ASSERT_GE(fd, 0) << err;
+        Response resp;
+        ASSERT_EQ(readResponse(fd, &resp, &err), FrameRead::Ok) << err;
+        EXPECT_EQ(resp.status, Status::Busy);
+        EXPECT_NE(readResponse(fd, &resp, &err), FrameRead::Ok); // closed
+        ::close(fd);
+
+        StatsSnap snap;
+        ASSERT_EQ(first.stats(&snap), Status::Ok);
+        // Through the router the roll-up also counts the worker's
+        // end of the router's pooled connection.
+        EXPECT_EQ(snap.liveConns, routed ? 2u : 1u);
+        EXPECT_GE(snap.connsAccepted, 1u);
+        EXPECT_GE(snap.connsRejected, 1u);
+
+        // Closing the counted connection frees the slot (the close
+        // is noticed asynchronously; poll until a fresh client gets
+        // in).
+        first.close();
+        Status st = Status::Busy;
+        for (int i = 0; i < 200 && st != Status::Ok; i++) {
+            Client third;
+            if (third.connect(fe.address()))
+                st = third.ping();
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        EXPECT_EQ(st, Status::Ok);
+    }
+}
+
+TEST(ServerE2E, AcceptFaultDropsTheConnectionUnanswered)
+{
+    for (bool routed : {false, true}) {
+        SCOPED_TRACE(routed ? "router" : "daemon");
+        FrontEnd fe(routed, "acc");
+        std::string err;
+        ASSERT_TRUE(fe.start(&err)) << err;
+
+        // The front end's first accept fires net.accept: the
+        // connection is closed before any thread serves it. The ping
+        // may or may not leave before that close, but no answer ever
+        // comes back.
+        ASSERT_TRUE(faultConfigure("net.accept:nth=1,count=1", 1, &err))
+            << err;
+        int fd = connectTo(fe.address(), &err);
+        ASSERT_GE(fd, 0) << err;
+        (void)writeFrame(fd, FrameKind::Request,
+                         encodeRequestEnvelope(Request::ping(), 0));
+        std::vector<uint8_t> wire;
+        FrameKind kind = FrameKind::Request;
+        EXPECT_EQ(readFrameWire(fd, &wire, &kind, &err), FrameRead::Eof);
+        ::close(fd);
+        ASSERT_TRUE(faultConfigure(""));
+
+        // Only that one connection was lost.
+        Client c;
+        ASSERT_TRUE(c.connect(fe.address(), &err)) << err;
+        EXPECT_EQ(c.ping(), Status::Ok);
+    }
+}
+
+TEST(ServerE2E, CacheSizeZeroDisablesEveryCache)
+{
+    std::atomic<int> runs{0};
     Server::Options opts;
-    opts.address = testSocketPath("maxc");
-    opts.maxConns = 1;
+    opts.address = testSocketPath("nocache");
+    opts.exec.cacheEntries = 0;
+    opts.exec.handler = [&](const Request &, CancelToken &) {
+        runs++;
+        Response r;
+        r.body = {7};
+        return r;
+    };
     Server server(opts);
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
 
-    Client first;
-    ASSERT_TRUE(first.connect(opts.address, &err)) << err;
-    // A round-trip guarantees the connection has been accepted and
-    // counted before the second one arrives.
-    EXPECT_EQ(first.ping(), Status::Ok);
-
-    // The second connection is accepted at the socket level, then
-    // refused with one unsolicited BUSY frame and closed — a reader
-    // sees a clean, typed rejection, not a hang or a reset.
-    int fd = connectTo(opts.address, &err);
-    ASSERT_GE(fd, 0) << err;
-    Frame f;
-    ASSERT_EQ(readFrame(fd, &f, &err), FrameRead::Ok) << err;
-    {
-        ByteReader r(f.payload);
-        Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
-        EXPECT_EQ(resp.status, Status::Busy);
+    Client c;
+    ASSERT_TRUE(c.connect(opts.address, &err)) << err;
+    for (int i = 0; i < 3; i++) {
+        Response r;
+        ASSERT_TRUE(c.call(Request::tableOf(3), &r)) << c.lastError();
+        EXPECT_EQ(r.status, Status::Ok);
     }
-    EXPECT_NE(readFrame(fd, &f, &err), FrameRead::Ok); // closed
-    ::close(fd);
-
-    StatsSnap snap;
-    ASSERT_EQ(first.stats(&snap), Status::Ok);
-    EXPECT_EQ(snap.liveConns, 1u);
-    EXPECT_GE(snap.connsAccepted, 1u);
-    EXPECT_GE(snap.connsRejected, 1u);
-
-    // Closing the counted connection frees the slot (the close is
-    // noticed asynchronously; poll until a fresh client gets in).
-    first.close();
-    Status st = Status::Busy;
-    for (int i = 0; i < 200 && st != Status::Ok; i++) {
-        Client third;
-        if (third.connect(opts.address))
-            st = third.ping();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    EXPECT_EQ(st, Status::Ok);
-
+    // Neither the executor's response cache nor the server's wire
+    // cache may answer a repeat.
+    EXPECT_EQ(runs.load(), 3);
+    EXPECT_EQ(
+        server.executor().snapshot().ep[size_t(ReqType::Table)].cacheHits,
+        0u);
     server.stop();
 }
 
@@ -1293,14 +1432,9 @@ TEST(ServerTcp, DripFedFramesReassembleAndFlippedBitIsCaught)
         if (i % 5 == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    Frame f;
-    ASSERT_EQ(readFrame(fd, &f, &err), FrameRead::Ok) << err;
-    {
-        ByteReader r(f.payload);
-        Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
-        EXPECT_EQ(resp.status, Status::Ok);
-    }
+    Response resp;
+    ASSERT_EQ(readResponse(fd, &resp, &err), FrameRead::Ok) << err;
+    EXPECT_EQ(resp.status, Status::Ok);
 
     // A single bit flipped in the payload in transit: the frame
     // checksum catches it; the server answers BADREQ (or closes
@@ -1309,13 +1443,10 @@ TEST(ServerTcp, DripFedFramesReassembleAndFlippedBitIsCaught)
     std::vector<uint8_t> bad = wire;
     bad[kFrameHeaderBytes] ^= 0x40;
     ASSERT_TRUE(writeWire(fd, bad));
-    FrameRead rc = readFrame(fd, &f, &err);
+    FrameRead rc = readResponse(fd, &resp, &err);
     if (rc == FrameRead::Ok) {
-        ByteReader r(f.payload);
-        Response resp;
-        ASSERT_TRUE(Response::decode(r, &resp));
         EXPECT_EQ(resp.status, Status::BadRequest);
-        rc = readFrame(fd, &f, &err);
+        rc = readResponse(fd, &resp, &err);
     }
     EXPECT_NE(rc, FrameRead::Ok);
     ::close(fd);
@@ -1597,9 +1728,10 @@ TEST(RouterE2E, MidResponseWorkerDeathIsRetriedInvisibly)
             int fd = ::accept(lfd, nullptr, nullptr);
             if (fd < 0)
                 continue;
-            Frame f;
-            std::string e2;
-            if (readFrame(fd, &f, &e2) == FrameRead::Ok) {
+            std::vector<uint8_t> req;
+            FrameKind kind = FrameKind::Request;
+            if (readFrameWire(fd, &req, &kind, nullptr) ==
+                FrameRead::Ok) {
                 flakyHits++;
                 std::vector<uint8_t> resp =
                     encodeFrame(FrameKind::Response, somePayload());

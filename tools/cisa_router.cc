@@ -9,8 +9,7 @@
  * Usage:
  *   cisa_router --worker ADDR [--worker ADDR ...]
  *               [--address ADDR] [--replicas N] [--pool N]
- *               [--health-ms N] [--verify-relay]
- *               [--print-address FILE]
+ *               [--health-ms N] [--print-address FILE]
  *
  * Flags default to the CISA_ROUTER_* / CISA_SERVE_* environment
  * knobs (src/common/env.hh); flags win over the environment. On
@@ -54,8 +53,6 @@ usage(const char *argv0)
         "(CISA_ROUTER_POOL)\n"
         "  --health-ms N         down-worker re-probe period "
         "(CISA_ROUTER_HEALTH_MS)\n"
-        "  --verify-relay        re-verify relayed response "
-        "checksums in the router\n"
         "  --print-address FILE  write the bound address to FILE\n",
         argv0);
 }
@@ -85,8 +82,6 @@ main(int argc, char **argv)
             opts.poolConns = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--health-ms")) {
             opts.healthMs = std::atoi(val());
-        } else if (!std::strcmp(argv[i], "--verify-relay")) {
-            opts.verifyRelay = true;
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {
