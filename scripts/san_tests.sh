@@ -14,6 +14,10 @@
 # test checks the one production slab path (stage-1 fan-out, stream
 # TaskGroup, lockstep walks, fold) at 1 and 4 threads and against the
 # live per-cell oracle, so TSan sees the slab's whole pool fan-out.
+# The timing test's seeded differential cases drive the vector
+# kernel, per-cell replay and the live engine over random slices,
+# cells and traces, including stamps near the vector kernel's 32-bit
+# bound, so ASan and UBSan see every cycle kernel's indexing.
 #
 # Not registered with ctest (it configures and builds three extra
 # trees); run it by hand or from CI:
@@ -25,7 +29,7 @@ jobs="${1:-$(nproc 2>/dev/null || echo 4)}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
 tests="test_faultinject test_slabstore test_service test_passes \
-test_compile_units test_artifact test_parallel"
+test_compile_units test_artifact test_parallel test_uarch"
 
 run_config() {
     name="$1"

@@ -66,9 +66,9 @@ bool dseCacheReadonly();
 int batchWidth();
 
 /** CISA_BATCH_SIMD: allow the vectorized lockstep kernel (default
- * on). Only consulted when the CPU supports AVX-512 and the cycle
- * stamps provably fit 32 bits; results are bit-identical either
- * way, so 0 exists for debugging and A/B timing. */
+ * on); 0 makes every lockstep walk replay its cells one by one.
+ * Results are bit-identical either way, so 0 exists for debugging,
+ * A/B timing and testing that fallback on AVX-512 hosts. */
 bool batchSimdEnabled();
 
 /** Re-validate IR invariants after every mid-end pass so a

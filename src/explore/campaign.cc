@@ -381,22 +381,15 @@ computeSlabPerf(int slab, const CancelToken *cancel,
             return (size_t(mem[i]) * phases + size_t(bt.ph)) * 2 +
                    size_t(sl.envIdx);
         };
-        if (g == 1) {
-            // Singleton chunk: the per-cell walk without the batch
-            // setup.
-            sims[slot(bt.begin)] = simulateCoreReplay(
-                ccs[0], pk, ss, timed, warm, sl.env);
-            nPerCell.fetch_add(1, std::memory_order_relaxed);
-            nWalks.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
+        size_t walks = 0;
         std::vector<PerfResult> rs = simulateCoreBatch(
-            ccs.data(), g, pk, ss, timed, warm, sl.env);
+            ccs.data(), g, pk, ss, timed, warm, sl.env, &walks);
         for (size_t i = 0; i < g; i++)
             sims[slot(bt.begin + i)] = rs[i];
-        nBatched.fetch_add(g, std::memory_order_relaxed);
-        nWalks.fetch_add(1, std::memory_order_relaxed);
-        nSaved.fetch_add(g - 1, std::memory_order_relaxed);
+        (walks < g ? nBatched : nPerCell)
+            .fetch_add(g, std::memory_order_relaxed);
+        nWalks.fetch_add(walks, std::memory_order_relaxed);
+        nSaved.fetch_add(g - walks, std::memory_order_relaxed);
     });
 
     std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *

@@ -57,17 +57,19 @@ PhasePerf foldPhasePerf(const DesignPoint &dp, uint64_t runOps,
                         const PerfResult &contended);
 
 /**
- * Counters of the slab kernel: how many cell simulations ran inside a
- * lockstep batch vs alone (a singleton chunk, which walks through
- * simulateCoreReplay), and how many trace walks that cost vs saved
- * (walksSaved = batched sims that shared another sim's walk).
- * Accumulated per computeSlabPerf call and, campaign-wide, surfaced
- * through Campaign::engineHealth() and the cisa-serve stats endpoint.
+ * Counters of the slab kernel: how many cell simulations shared a
+ * lockstep walk vs walked alone (a one-cell chunk, or any chunk that
+ * simulateCoreBatch replays cell by cell: no AVX-512,
+ * CISA_BATCH_SIMD=0, or cycle stamps that may not fit 32 bits), and
+ * how many trace walks that cost vs saved (walksSaved = sims that
+ * shared another sim's walk). Accumulated per computeSlabPerf call
+ * and, campaign-wide, surfaced through Campaign::engineHealth() and
+ * the cisa-serve stats endpoint.
  */
 struct EngineHealth
 {
-    uint64_t cellsBatched = 0; ///< sims advanced by a lockstep walk
-    uint64_t cellsPerCell = 0; ///< sims of singleton chunks
+    uint64_t cellsBatched = 0; ///< sims that shared a lockstep walk
+    uint64_t cellsPerCell = 0; ///< cells that walked alone
     uint64_t walksDone = 0;    ///< trace walks actually performed
     uint64_t walksSaved = 0;   ///< walks amortized away by batching
 };

@@ -8,9 +8,9 @@
 #include "common/logging.hh"
 #include "uarch/engine.hh"
 
-// The vectorized kernel is x86-only by construction (AVX-512); the
-// scalar tile kernel below is the portable fallback and the identity
-// reference, selected at runtime by CPUID + the 32-bit stamp proof.
+// The vector kernel is x86-only by construction (AVX-512). Where it
+// is not compiled in, or cannot take a walk, each cell replays alone
+// through simulateCoreReplay, i.e. through Engine::step.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CISA_BATCH_SIMD_KERNEL 1
 #include <immintrin.h>
@@ -20,6 +20,8 @@
 
 namespace cisa
 {
+
+#if CISA_BATCH_SIMD_KERNEL
 
 namespace
 {
@@ -45,44 +47,6 @@ struct SharedStep
     uint64_t loadLat = 0; ///< hierarchy load latency beyond 1 cycle
     bool mispredict = false;
     bool btbMiss = false;
-};
-
-/**
- * Structure-of-arrays cycle state, one slot per cell, ordered
- * out-of-order cells first so each kernel instantiation runs over a
- * contiguous range. Consecutive cells' entries are adjacent, so the
- * inner loop streams through every array.
- */
-struct CellState
-{
-    size_t n = 0;
-
-    // Per-cell constants.
-    std::vector<int> width, decodeBw;
-    std::vector<uint8_t> ucOn, fusOn;
-
-    // Front-end / dispatch / commit cycle state.
-    std::vector<uint64_t> fetchCycle, redirect, dispatchCycle,
-        lastIssue, lastCommit, cycles, warmCycles;
-    std::vector<int> fetchMacroBudget, fetchByteBudget,
-        fetchUopBudget, dispatchBudget, commitBudget;
-
-    // ROB/IQ/LSQ rings, flattened into one slab (engine_detail::Ring
-    // is deliberately non-movable, so per-cell Ring storage is out).
-    std::vector<uint64_t> ring;
-    std::vector<uint32_t> robOff, iqOff, lsqOff;
-    std::vector<uint32_t> robN, iqN, lsqN;
-    std::vector<uint32_t> robHead, iqHead, lsqHead;
-
-    // Functional-unit pools (inline arrays, reused from the engine).
-    std::vector<FuPools> fu;
-
-    // Scoreboards: register ready times, store-buffer data stamps,
-    // per-op uop completion slots (last slot pinned zero — the
-    // chain-less sentinel).
-    std::vector<uint64_t> regReady; ///< n * kEngineRegSlots
-    std::vector<uint64_t> sbReady;  ///< n * kSbSize
-    std::vector<uint64_t> uopEnd;   ///< n * (kMaxUopsPerOp + 1)
 };
 
 /**
@@ -176,18 +140,6 @@ addTally(PerfStats &st, const UopTally &t)
         st.aluOps[c] += t.aluOps[c];
 }
 
-void
-setMem(PerfStats &st, const MemSnap &m)
-{
-    st.l1iAccesses = m.l1iAccesses;
-    st.l1iMisses = m.l1iMisses;
-    st.l1dAccesses = m.l1dAccesses;
-    st.l1dMisses = m.l1dMisses;
-    st.l2Accesses = m.l2Accesses;
-    st.l2Misses = m.l2Misses;
-    st.memAccesses = m.memAccesses;
-}
-
 /**
  * The walk-level (cell-independent) accounting: one stats lane per
  * present (OoO, uop-cache, fusion) combo plus the per-uop tally,
@@ -201,118 +153,6 @@ struct WalkStats
     int nCombos = 0;
     UopTally tally, tallyWarm;
 };
-
-/**
- * One pass over the packed trace and the structural stream, in tiles
- * of up to kTileSteps decoded steps. Decoding — the packed-trace
- * reads, the stream cursor consumption, the combo stats and uop
- * tally — happens exactly once per step here regardless of how many
- * cells ride the walk; @p runTile is invoked per tile as
- * runTile(tile, len, sb_slot, warm_t) to advance every cell's cycle
- * state through it (warm_t: tile-local index of the warm-up-crossing
- * step, -1 if not in this tile). Both the scalar and the vector
- * kernels plug in here, so the decode semantics cannot drift apart.
- */
-template <typename RunTile>
-void
-walkTrace(const ReplayTrace &packed, const StructuralStream &stream,
-          uint64_t timed_uops, uint64_t warmup_uops, WalkStats &ws,
-          RunTile &&runTile)
-{
-    constexpr size_t kTileSteps = 128;
-    std::vector<SharedStep> tile(kTileSteps);
-    std::array<uint8_t, kTileSteps> sb_slot{};
-
-    const size_t nsteps = packed.size();
-    const uint64_t total_uops = warmup_uops + timed_uops;
-    size_t idx = 0;
-    size_t step = 0, ifetch_cur = 0, dload_cur = 0, fwd_cur = 0;
-    size_t sb_head = 0;
-    uint64_t done_uops = 0;
-    bool warm_taken = warmup_uops == 0;
-    bool first = true;
-
-    while (done_uops < total_uops) {
-        size_t len = 0;
-        int warm_t = -1;
-        while (len < kTileSteps && done_uops < total_uops) {
-            SharedStep &s = tile[len];
-            s = SharedStep{};
-            s.bits = packed.bits[idx];
-            if (first) {
-                // The live engine has no previous op on step one.
-                s.bits &= uint16_t(~kOpFusableBranch);
-                first = false;
-            }
-            s.len = packed.len[idx];
-            s.uops = packed.uops[idx];
-            uint32_t ub = packed.uopBegin[idx];
-            s.xu = packed.xuops.data() + ub;
-            s.nxu = int(packed.uopBegin[idx + 1] - ub);
-            s.memSlots =
-                ((s.bits & kOpReadsMem) ? 1 : 0) +
-                ((s.bits & kOpWritesMem) ? 1 : 0) +
-                (((s.bits & kOpPredFalse) && (s.bits & kOpHasMem))
-                     ? 1
-                     : 0);
-            uint8_t ev = stream.ev[step++];
-            if (ev & kEvIFetch) {
-                s.flat =
-                    (ev & kEvIFetchMiss)
-                        ? 1 + int(stream.ifetchExtra[ifetch_cur++])
-                        : 1;
-            }
-            s.evUcHit = (ev & kEvUcHit) != 0;
-            if (ev & kEvFwd)
-                s.fwdMask = stream.fwdMask[fwd_cur++];
-            if (ev & kEvDLoad)
-                s.loadLat = stream.dloadExtra[dload_cur++];
-            s.mispredict = (ev & kEvMispredict) != 0;
-            s.btbMiss = (ev & kEvBtbMiss) != 0;
-
-            for (int c = 0; c < ws.nCombos; c++) {
-                uint8_t key = ws.comboKeys[c];
-                statsStep(ws.comboSt[key], (key & 4) != 0,
-                          (key & 2) != 0, (key & 1) != 0, s);
-            }
-            for (int k = 0; k < s.nxu; k++) {
-                const PackedUop &u = s.xu[k];
-                ws.tally.issuedUops++;
-                ws.tally.aluOps[size_t(u.cls)]++;
-                ws.tally.regReads +=
-                    uint64_t((u.flags >> kUopNsrcShift) & 0x7);
-                ws.tally.regWrites +=
-                    (u.flags & kUopWritesReg) != 0;
-                ws.tally.fpRegOps += (u.flags & kUopFpSimd) != 0;
-            }
-
-            sb_slot[len] = uint8_t(sb_head);
-            if (s.bits & kOpWritesMem)
-                sb_head = sb_head + 1 == kSbSize ? 0 : sb_head + 1;
-
-            done_uops += s.uops;
-            idx = idx + 1 == nsteps ? 0 : idx + 1;
-            if (!warm_taken && done_uops >= warmup_uops) {
-                warm_taken = true;
-                std::copy(ws.comboSt, ws.comboSt + 8, ws.comboWarm);
-                ws.tallyWarm = ws.tally;
-                warm_t = int(len);
-            }
-            len++;
-        }
-
-        runTile(tile.data(), len, sb_slot.data(), warm_t);
-    }
-
-    // The stream must have been generated with the same budgets: the
-    // walk must consume it exactly (same invariant the per-cell
-    // replay asserts).
-    panic_if(step != stream.ev.size() ||
-                 ifetch_cur != stream.ifetchExtra.size() ||
-                 dload_cur != stream.dloadExtra.size() ||
-                 fwd_cur != stream.fwdMask.size(),
-             "structural stream not fully consumed: budget mismatch");
-}
 
 /** Compose one cell's PerfResult exactly as runCore does, from the
  * walk-level stats plus the cell's final and warm cycle counts. */
@@ -345,237 +185,6 @@ composeCell(uint8_t key, uint64_t cyc, uint64_t warm_cyc,
     return res;
 }
 
-/**
- * Advance cells [b, e) through a decoded tile of @p L steps, one
- * cell at a time. A transliteration of Engine::step<OoO> with the
- * structural queries replaced by the pre-decoded SharedStep and the
- * stats accounting hoisted out; each numbered stage below
- * corresponds 1:1 to a stage there, in the same order, so the cycle
- * arithmetic stays bit-identical.
- *
- * Time-tiling is what makes the batch pay off: the live engine keeps
- * its whole cycle state in member scalars that stay register- and
- * L1-resident across the walk, so a step-at-a-time lockstep loop
- * (load and store every scalar per cell per step) loses more to
- * memory traffic than shared decode saves. Running one cell across
- * the whole tile instead keeps its scalars in locals — genuinely in
- * registers, since nothing escapes — and its scoreboards hot in L1,
- * while the decode, stream cursors, and stats still happen once per
- * step for the whole group.
- *
- * @p warm_t is the tile-local index of the step on which the walk
- * crosses the warm-up boundary (-1 if not in this tile): each cell
- * snapshots its cycle count right after that step, matching the
- * per-cell engines' warm snapshot point.
- */
-template <bool OoO>
-void
-stepTile(CellState &cs, size_t b, size_t e, const SharedStep *tile,
-         size_t L, const uint8_t *sb_slot, int warm_t)
-{
-    for (size_t i = b; i < e; i++) {
-        const int W = cs.width[i];
-        const int dbw = cs.decodeBw[i];
-        const bool uc_on = cs.ucOn[i] != 0;
-        const bool fus_on = cs.fusOn[i] != 0;
-        const uint32_t rob_n = cs.robN[i];
-        const uint32_t iq_n = cs.iqN[i];
-        const uint32_t lsq_n = cs.lsqN[i];
-        uint64_t *__restrict rob_ring =
-            cs.ring.data() + cs.robOff[i];
-        uint64_t *__restrict iq_ring = cs.ring.data() + cs.iqOff[i];
-        uint64_t *__restrict lsq_ring =
-            cs.ring.data() + cs.lsqOff[i];
-        uint64_t *__restrict rr =
-            cs.regReady.data() + i * size_t(kEngineRegSlots);
-        uint64_t *__restrict ue =
-            cs.uopEnd.data() + i * size_t(kMaxUopsPerOp + 1);
-        uint64_t *__restrict sb = cs.sbReady.data() + i * kSbSize;
-        FuPools &fu = cs.fu[i];
-
-        uint64_t fc = cs.fetchCycle[i];
-        uint64_t redirect = cs.redirect[i];
-        uint64_t dispatch_cycle = cs.dispatchCycle[i];
-        uint64_t last_issue = cs.lastIssue[i];
-        uint64_t last_commit = cs.lastCommit[i];
-        uint64_t cycles = cs.cycles[i];
-        int fmb = cs.fetchMacroBudget[i];
-        int fbb = cs.fetchByteBudget[i];
-        int fub = cs.fetchUopBudget[i];
-        int dbud = cs.dispatchBudget[i];
-        int cbud = cs.commitBudget[i];
-        uint32_t rh = cs.robHead[i];
-        uint32_t ih = cs.iqHead[i];
-        uint32_t lh = cs.lsqHead[i];
-
-        for (size_t t = 0; t < L; t++) {
-            const SharedStep &s = tile[t];
-
-            // ---- Fetch ----
-            if (fc < redirect) {
-                fc = redirect;
-                // resetFetchBudgets(fetchUopBudget): the uop budget
-                // carries over a redirect, the others refill.
-                fmb = W;
-                fbb = kIldBytesPerCycle;
-            }
-            if (s.flat > 1)
-                fc += uint64_t(s.flat - 1);
-
-            bool uc_hit = uc_on && s.evUcHit;
-            int uop_bw = uc_hit ? 6 : dbw;
-            bool fused_branch =
-                fus_on && (s.bits & kOpFusableBranch);
-            int uops = s.uops;
-            int slot_uops = fused_branch ? 0 : uops;
-            int window_slots =
-                (fus_on && (s.bits & kOpMicroFusable)) ? 1
-                                                       : slot_uops;
-
-            fmb -= 1;
-            fbb -= s.len;
-            fub -= slot_uops;
-            if (fmb < 0 || fbb < 0 || fub < 0) {
-                fc++;
-                fmb = W - 1;
-                fbb = kIldBytesPerCycle - s.len;
-                fub = uop_bw - slot_uops;
-            }
-
-            // ---- Dispatch (rename + window allocation) ----
-            uint64_t disp =
-                std::max(dispatch_cycle, fc + uint64_t(OoO ? 8 : 5));
-            if (window_slots > 0) {
-                disp = std::max(disp, rob_ring[rh]);
-                if (OoO)
-                    disp = std::max(disp, iq_ring[ih]);
-            }
-            if (s.memSlots > 0)
-                disp = std::max(disp, lsq_ring[lh]);
-
-            if (disp > dispatch_cycle) {
-                dispatch_cycle = disp;
-                dbud = W;
-            }
-            dbud -= std::max(window_slots, fused_branch ? 0 : 1);
-            if (dbud < 0) {
-                dispatch_cycle++;
-                dbud = W - window_slots;
-                disp = dispatch_cycle;
-            }
-
-            // ---- Execute ----
-            uint64_t load_lat = 0;
-            uint64_t fwd_ready = 0;
-            if (s.bits & kOpReadsMem) {
-                if (s.fwdMask) {
-                    for (size_t j = 0; j < kSbSize; j++) {
-                        if (s.fwdMask & (1u << j))
-                            fwd_ready = std::max(fwd_ready, sb[j]);
-                    }
-                } else {
-                    load_lat = s.loadLat;
-                }
-            }
-
-            uint64_t end = disp + 1;
-            for (int k = 0; k < s.nxu; k++) {
-                const PackedUop &u = s.xu[k];
-                uint64_t lm = (u.flags & kUopLoad) ? ~uint64_t(0)
-                                                   : uint64_t(0);
-                uint64_t chain_ready = std::max(
-                    ue[size_t(u.chain)], fwd_ready & lm);
-                uint64_t r01 =
-                    std::max(rr[u.srcs[0]], rr[u.srcs[1]]);
-                uint64_t r23 =
-                    std::max(rr[u.srcs[2]], rr[u.srcs[3]]);
-                uint64_t ready =
-                    std::max(std::max(disp + 1, chain_ready),
-                             std::max(r01, r23));
-                if constexpr (!OoO)
-                    ready = std::max(ready, last_issue);
-
-                auto &pool = fu.poolFor(u.pool);
-                size_t unit = FuPools::earliest(pool);
-                uint64_t issue = std::max(ready, pool.t[unit]);
-                uint64_t complete = issue + u.lat + (load_lat & lm);
-                pool.t[unit] = (u.flags & kUopUnpipelined)
-                                   ? complete
-                                   : issue + 1;
-
-                rr[u.dst] = complete;
-                rr[(u.flags & kUopWritesFlags) ? kFlagsReg
-                                               : kDummyWriteReg] =
-                    complete;
-                last_issue = std::max(last_issue, issue);
-                end = complete;
-                ue[size_t(k)] = end;
-            }
-
-            // The store-buffer write slot is a walk-level value
-            // (every cell pushes on exactly the same steps); only
-            // the data-ready stamp is per-cell.
-            if (s.bits & kOpWritesMem)
-                sb[sb_slot[t]] = end;
-
-            // ---- Branch resolution ----
-            if (s.bits & kOpBranch) {
-                if (s.mispredict)
-                    redirect = end + 1;
-                else if ((s.bits & kOpTaken) && s.btbMiss)
-                    fc += 2;
-            }
-
-            // ---- Commit ----
-            uint64_t commit = std::max(end + 1, last_commit);
-            if (commit > last_commit) {
-                last_commit = commit;
-                cbud = W;
-            }
-            cbud -= std::max(1, window_slots);
-            if (cbud < 0) {
-                last_commit++;
-                cbud = W;
-                commit = last_commit;
-            }
-
-            for (int sl = 0; sl < window_slots; sl++) {
-                rob_ring[rh] = commit;
-                rh = rh + 1 == rob_n ? 0 : rh + 1;
-                if (OoO) {
-                    iq_ring[ih] = end;
-                    ih = ih + 1 == iq_n ? 0 : ih + 1;
-                }
-            }
-            for (int sl = 0; sl < s.memSlots; sl++) {
-                lsq_ring[lh] = commit;
-                lh = lh + 1 == lsq_n ? 0 : lh + 1;
-            }
-
-            cycles = std::max(cycles, commit);
-            if (int(t) == warm_t)
-                cs.warmCycles[i] = cycles;
-        }
-
-        cs.fetchCycle[i] = fc;
-        cs.redirect[i] = redirect;
-        cs.dispatchCycle[i] = dispatch_cycle;
-        cs.lastIssue[i] = last_issue;
-        cs.lastCommit[i] = last_commit;
-        cs.cycles[i] = cycles;
-        cs.fetchMacroBudget[i] = fmb;
-        cs.fetchByteBudget[i] = fbb;
-        cs.fetchUopBudget[i] = fub;
-        cs.dispatchBudget[i] = dbud;
-        cs.commitBudget[i] = cbud;
-        cs.robHead[i] = rh;
-        cs.iqHead[i] = ih;
-        cs.lsqHead[i] = lh;
-    }
-}
-
-#if CISA_BATCH_SIMD_KERNEL
-
 /** Compiled-in AVX-512 kernel is only entered on CPUs with the
  * subsets it uses (F for the 32-bit lanes and gathers, BW/DQ/VL for
  * the mask plumbing GCC emits around them). */
@@ -590,15 +199,15 @@ cpuHasBatchSimd()
 }
 
 /**
- * One 16-lane tile of cells for the vector kernel: the cycle state
- * of stepTile transposed so that each scalar becomes a row of 16
- * 32-bit lanes (one cell per lane) and every scoreboard becomes
- * rows-of-16 indexed by entity. Stamps are 32-bit here — the caller
- * proves they cannot overflow before choosing this path (see the
- * bound in simulateCoreBatch). All lanes of a chunk share the OoO
- * class; lanes >= nReal clone lane 0 (identical config and therefore
- * identical evolution) and their results are discarded, so partial
- * chunks need no masking in the kernel.
+ * One 16-lane tile of cells for the vector kernel: Engine's cycle
+ * state (src/uarch/engine.hh) transposed so that each scalar becomes
+ * a row of 16 32-bit lanes (one cell per lane) and every scoreboard
+ * becomes rows-of-16 indexed by entity. Stamps are 32-bit here —
+ * the caller proves they cannot overflow before choosing this path
+ * (see the bound in simulateCoreBatch). All lanes of a chunk share
+ * the OoO class; lanes >= nReal clone lane 0 (identical config and
+ * therefore identical evolution) and their results are discarded,
+ * so partial chunks need no masking in the kernel.
  */
 struct alignas(64) BatchChunk
 {
@@ -708,15 +317,21 @@ initChunk(BatchChunk &c, const CoreConfig *cells,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 /**
- * The vector kernel: stepTile with the per-cell loop turned into
- * 32-bit SIMD lanes — every line below maps 1:1 onto a line of
- * stepTile, so the cycle arithmetic is the same arithmetic, just 16
- * cells at a time. Divergent control flow (uop-cache hits, fusion,
- * budget overflows, dispatch stalls) becomes mask registers and
- * blends; step-shared properties (uop list, mem slots, stream
- * events) stay scalar branches exactly as in the scalar kernel. The
+ * The vector kernel: Engine::step<OoO> (src/uarch/engine.hh) with
+ * the structural queries replaced by the pre-decoded SharedStep, the
+ * stats accounting hoisted into walkTrace, and the cell turned into
+ * 32-bit SIMD lanes, 16 cells at a time. Each stage below maps 1:1
+ * onto the stage of Engine::step, in the same order, so the cycle
+ * arithmetic is the same arithmetic. Divergent control flow
+ * (uop-cache hits, fusion, budget overflows, dispatch stalls)
+ * becomes mask registers and blends; step-shared properties (uop
+ * list, mem slots, stream events) stay scalar branches. The
  * scoreboards are row-transposed aligned loads/stores; only the ring
- * windows need gather/scatter, with per-lane disjoint regions.
+ * windows need gather/scatter, with per-lane disjoint regions. A
+ * chunk's state stays in registers across the whole tile of @p L
+ * steps; @p warm_t is the tile-local index of the warm-up-crossing
+ * step (-1: not in this tile), after which each lane snapshots its
+ * cycle count, as runCore does.
  */
 template <bool OoO>
 void
@@ -860,7 +475,7 @@ stepTileSimd(BatchChunk &c, const SharedStep *tile, size_t L,
                 ready = _mm512_max_epu32(ready, lastIssue);
 
             // earliest(): vertical strict-less scan, lowest index
-            // wins ties — identical tie-break to the scalar scan.
+            // wins ties — the tie-break of FuPools::earliest.
             const int pn = c.fuMaxN[u.pool];
             uint32_t(*pt)[16] = c.fuT[u.pool];
             __m512i bestT = _mm512_load_si512(pt[0]);
@@ -979,16 +594,141 @@ template void stepTileSimd<false>(BatchChunk &, const SharedStep *,
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 
-#endif // CISA_BATCH_SIMD_KERNEL
+/**
+ * One pass over the packed trace and the structural stream, in tiles
+ * of up to kTileSteps decoded steps. Decoding — the packed-trace
+ * reads, the stream cursor consumption, the combo stats and uop
+ * tally — happens exactly once per step here regardless of how many
+ * cells ride the walk; the vector kernel then advances every chunk
+ * of @p chunks through each tile.
+ */
+void
+walkTrace(const ReplayTrace &packed, const StructuralStream &stream,
+          uint64_t timed_uops, uint64_t warmup_uops, WalkStats &ws,
+          std::vector<BatchChunk> &chunks)
+{
+    constexpr size_t kTileSteps = 128;
+    std::vector<SharedStep> tile(kTileSteps);
+    std::array<uint8_t, kTileSteps> sb_slot{};
+
+    const size_t nsteps = packed.size();
+    const uint64_t total_uops = warmup_uops + timed_uops;
+    size_t idx = 0;
+    size_t step = 0, ifetch_cur = 0, dload_cur = 0, fwd_cur = 0;
+    size_t sb_head = 0;
+    uint64_t done_uops = 0;
+    bool warm_taken = warmup_uops == 0;
+    bool first = true;
+
+    while (done_uops < total_uops) {
+        size_t len = 0;
+        int warm_t = -1;
+        while (len < kTileSteps && done_uops < total_uops) {
+            SharedStep &s = tile[len];
+            s = SharedStep{};
+            s.bits = packed.bits[idx];
+            if (first) {
+                // The live engine has no previous op on step one.
+                s.bits &= uint16_t(~kOpFusableBranch);
+                first = false;
+            }
+            s.len = packed.len[idx];
+            s.uops = packed.uops[idx];
+            uint32_t ub = packed.uopBegin[idx];
+            s.xu = packed.xuops.data() + ub;
+            s.nxu = int(packed.uopBegin[idx + 1] - ub);
+            s.memSlots =
+                ((s.bits & kOpReadsMem) ? 1 : 0) +
+                ((s.bits & kOpWritesMem) ? 1 : 0) +
+                (((s.bits & kOpPredFalse) && (s.bits & kOpHasMem))
+                     ? 1
+                     : 0);
+            uint8_t ev = stream.ev[step++];
+            if (ev & kEvIFetch) {
+                s.flat =
+                    (ev & kEvIFetchMiss)
+                        ? 1 + int(stream.ifetchExtra[ifetch_cur++])
+                        : 1;
+            }
+            s.evUcHit = (ev & kEvUcHit) != 0;
+            if (ev & kEvFwd)
+                s.fwdMask = stream.fwdMask[fwd_cur++];
+            if (ev & kEvDLoad)
+                s.loadLat = stream.dloadExtra[dload_cur++];
+            s.mispredict = (ev & kEvMispredict) != 0;
+            s.btbMiss = (ev & kEvBtbMiss) != 0;
+
+            for (int c = 0; c < ws.nCombos; c++) {
+                uint8_t key = ws.comboKeys[c];
+                statsStep(ws.comboSt[key], (key & 4) != 0,
+                          (key & 2) != 0, (key & 1) != 0, s);
+            }
+            for (int k = 0; k < s.nxu; k++) {
+                const PackedUop &u = s.xu[k];
+                ws.tally.issuedUops++;
+                ws.tally.aluOps[size_t(u.cls)]++;
+                ws.tally.regReads +=
+                    uint64_t((u.flags >> kUopNsrcShift) & 0x7);
+                ws.tally.regWrites +=
+                    (u.flags & kUopWritesReg) != 0;
+                ws.tally.fpRegOps += (u.flags & kUopFpSimd) != 0;
+            }
+
+            sb_slot[len] = uint8_t(sb_head);
+            if (s.bits & kOpWritesMem)
+                sb_head = sb_head + 1 == kSbSize ? 0 : sb_head + 1;
+
+            done_uops += s.uops;
+            idx = idx + 1 == nsteps ? 0 : idx + 1;
+            if (!warm_taken && done_uops >= warmup_uops) {
+                warm_taken = true;
+                std::copy(ws.comboSt, ws.comboSt + 8, ws.comboWarm);
+                ws.tallyWarm = ws.tally;
+                warm_t = int(len);
+            }
+            len++;
+        }
+
+        for (BatchChunk &c : chunks) {
+            if (c.ooo)
+                stepTileSimd<true>(c, tile.data(), len, sb_slot.data(),
+                                   warm_t);
+            else
+                stepTileSimd<false>(c, tile.data(), len,
+                                    sb_slot.data(), warm_t);
+        }
+    }
+
+    // The stream must have been generated with the same budgets: the
+    // walk must consume it exactly (same invariant the per-cell
+    // replay asserts).
+    panic_if(step != stream.ev.size() ||
+                 ifetch_cur != stream.ifetchExtra.size() ||
+                 dload_cur != stream.dloadExtra.size() ||
+                 fwd_cur != stream.fwdMask.size(),
+             "structural stream not fully consumed: budget mismatch");
+}
 
 } // namespace
+
+#endif // CISA_BATCH_SIMD_KERNEL
+
+bool
+batchSimdAvailable()
+{
+#if CISA_BATCH_SIMD_KERNEL
+    return cpuHasBatchSimd() && batchSimdEnabled();
+#else
+    return false;
+#endif
+}
 
 std::vector<PerfResult>
 simulateCoreBatch(const CoreConfig *cells, size_t ncells,
                   const ReplayTrace &packed,
                   const StructuralStream &stream,
                   uint64_t timed_uops, uint64_t warmup_uops,
-                  const RunEnv &env)
+                  const RunEnv &env, size_t *walks)
 {
     panic_if(ncells == 0, "empty batch");
     panic_if(packed.size() == 0, "empty packed trace");
@@ -1002,32 +742,6 @@ simulateCoreBatch(const CoreConfig *cells, size_t ncells,
                      structuralFingerprint(cells[i].uarch, env),
                  "batched cell %zu lies outside the stream's "
                  "structural slice", i);
-    }
-
-    // Out-of-order cells first: each kernel instantiation then
-    // runs over one contiguous range.
-    std::vector<size_t> order(ncells);
-    std::iota(order.begin(), order.end(), 0);
-    auto mid = std::stable_partition(
-        order.begin(), order.end(),
-        [&](size_t i) { return cells[i].uarch.outOfOrder; });
-    const size_t n_ooo = size_t(mid - order.begin());
-
-    std::vector<uint8_t> combo_key(ncells);
-    WalkStats ws;
-    {
-        bool seen[8] = {};
-        for (size_t slot = 0; slot < ncells; slot++) {
-            const MicroArchConfig &ua = cells[order[slot]].uarch;
-            uint8_t key = uint8_t((ua.outOfOrder ? 4 : 0) |
-                                  (ua.uopCache ? 2 : 0) |
-                                  (ua.uopFusion ? 1 : 0));
-            combo_key[slot] = key;
-            if (!seen[key]) {
-                seen[key] = true;
-                ws.comboKeys[ws.nCombos++] = key;
-            }
-        }
     }
 
 #if CISA_BATCH_SIMD_KERNEL
@@ -1049,10 +763,33 @@ simulateCoreBatch(const CoreConfig *cells, size_t ncells,
         uint64_t(packed.maxStepLatSum) +
         uint64_t(packed.maxStepLoads) * stream.maxDloadExtra +
         stream.maxIfetchExtra + 32;
-    if (cpuHasBatchSimd() && batchSimdEnabled() &&
-        total <= (uint64_t(1) << 31) &&
+    if (batchSimdAvailable() && total <= (uint64_t(1) << 31) &&
         advance <= (uint64_t(1) << 20) &&
         1 + total * advance <= (uint64_t(1) << 31)) {
+        // Out-of-order cells first, so every 16-lane chunk holds one
+        // execution class.
+        std::vector<size_t> order(ncells);
+        std::iota(order.begin(), order.end(), 0);
+        auto mid = std::stable_partition(
+            order.begin(), order.end(),
+            [&](size_t i) { return cells[i].uarch.outOfOrder; });
+        const size_t n_ooo = size_t(mid - order.begin());
+
+        std::vector<uint8_t> combo_key(ncells);
+        WalkStats ws;
+        bool seen[8] = {};
+        for (size_t slot = 0; slot < ncells; slot++) {
+            const MicroArchConfig &ua = cells[order[slot]].uarch;
+            uint8_t key = uint8_t((ua.outOfOrder ? 4 : 0) |
+                                  (ua.uopCache ? 2 : 0) |
+                                  (ua.uopFusion ? 1 : 0));
+            combo_key[slot] = key;
+            if (!seen[key]) {
+                seen[key] = true;
+                ws.comboKeys[ws.nCombos++] = key;
+            }
+        }
+
         std::vector<BatchChunk> chunks;
         chunks.resize((n_ooo + 15) / 16 +
                       (ncells - n_ooo + 15) / 16);
@@ -1066,18 +803,7 @@ simulateCoreBatch(const CoreConfig *cells, size_t ncells,
                       std::min<size_t>(16, ncells - b), false);
         }
 
-        walkTrace(packed, stream, timed_uops, warmup_uops, ws,
-                  [&](const SharedStep *tile, size_t len,
-                      const uint8_t *sb, int warm_t) {
-                      for (BatchChunk &c : chunks) {
-                          if (c.ooo)
-                              stepTileSimd<true>(c, tile, len, sb,
-                                                 warm_t);
-                          else
-                              stepTileSimd<false>(c, tile, len, sb,
-                                                  warm_t);
-                      }
-                  });
+        walkTrace(packed, stream, timed_uops, warmup_uops, ws, chunks);
 
         std::vector<PerfResult> out(ncells);
         for (const BatchChunk &c : chunks) {
@@ -1088,85 +814,22 @@ simulateCoreBatch(const CoreConfig *cells, size_t ncells,
                     ws, stream, warmup_uops);
             }
         }
+        if (walks)
+            *walks = 1;
         return out;
     }
 #endif // CISA_BATCH_SIMD_KERNEL
 
-    CellState cs;
-    cs.n = ncells;
-    cs.width.resize(ncells);
-    cs.decodeBw.resize(ncells);
-    cs.ucOn.resize(ncells);
-    cs.fusOn.resize(ncells);
-    cs.fetchCycle.assign(ncells, 1);
-    cs.redirect.assign(ncells, 0);
-    cs.dispatchCycle.assign(ncells, 1);
-    cs.lastIssue.assign(ncells, 0);
-    cs.lastCommit.assign(ncells, 0);
-    cs.cycles.assign(ncells, 0);
-    cs.warmCycles.assign(ncells, 0);
-    cs.fetchMacroBudget.resize(ncells);
-    cs.fetchByteBudget.assign(ncells, kIldBytesPerCycle);
-    cs.fetchUopBudget.resize(ncells);
-    cs.dispatchBudget.resize(ncells);
-    cs.commitBudget.resize(ncells);
-    cs.robOff.resize(ncells);
-    cs.iqOff.resize(ncells);
-    cs.lsqOff.resize(ncells);
-    cs.robN.resize(ncells);
-    cs.iqN.resize(ncells);
-    cs.lsqN.resize(ncells);
-    cs.robHead.assign(ncells, 0);
-    cs.iqHead.assign(ncells, 0);
-    cs.lsqHead.assign(ncells, 0);
-    cs.fu.reserve(ncells);
-    cs.regReady.assign(ncells * size_t(kEngineRegSlots), 0);
-    cs.sbReady.assign(ncells * kSbSize, 0);
-    cs.uopEnd.assign(ncells * size_t(kMaxUopsPerOp + 1), 0);
-
-    size_t ring_total = 0;
-    for (size_t slot = 0; slot < ncells; slot++) {
-        const MicroArchConfig &ua = cells[order[slot]].uarch;
-        cs.width[slot] = ua.width;
-        cs.decodeBw[slot] = decodeBandwidthFor(cells[order[slot]]);
-        cs.ucOn[slot] = ua.uopCache;
-        cs.fusOn[slot] = ua.uopFusion;
-        cs.fetchMacroBudget[slot] = ua.width;
-        cs.fetchUopBudget[slot] = ua.width;
-        cs.dispatchBudget[slot] = ua.width;
-        cs.commitBudget[slot] = ua.width;
-        cs.fu.emplace_back(ua);
-        cs.robOff[slot] = uint32_t(ring_total);
-        cs.robN[slot] = uint32_t(ua.robSize);
-        ring_total += size_t(ua.robSize);
-        cs.iqOff[slot] = uint32_t(ring_total);
-        cs.iqN[slot] = uint32_t(ua.iqSize);
-        ring_total += size_t(ua.iqSize);
-        cs.lsqOff[slot] = uint32_t(ring_total);
-        cs.lsqN[slot] = uint32_t(ua.lsqSize);
-        ring_total += size_t(ua.lsqSize);
+    // Every other walk replays each cell alone (Engine::step).
+    std::vector<PerfResult> out;
+    out.reserve(ncells);
+    for (size_t i = 0; i < ncells; i++) {
+        out.push_back(simulateCoreReplay(cells[i], packed, stream,
+                                         timed_uops, warmup_uops,
+                                         env));
     }
-    cs.ring.assign(ring_total, 0);
-
-    walkTrace(packed, stream, timed_uops, warmup_uops, ws,
-              [&](const SharedStep *tile, size_t len,
-                  const uint8_t *sb, int warm_t) {
-                  if (n_ooo > 0)
-                      stepTile<true>(cs, 0, n_ooo, tile, len, sb,
-                                     warm_t);
-                  if (n_ooo < ncells)
-                      stepTile<false>(cs, n_ooo, ncells, tile, len,
-                                      sb, warm_t);
-              });
-
-    // ---- Compose per-cell results exactly as runCore does. ----
-    std::vector<PerfResult> out(ncells);
-    for (size_t slot = 0; slot < ncells; slot++) {
-        out[order[slot]] =
-            composeCell(combo_key[slot], cs.cycles[slot],
-                        cs.warmCycles[slot], ws, stream,
-                        warmup_uops);
-    }
+    if (walks)
+        *walks = ncells;
     return out;
 }
 

@@ -12,12 +12,13 @@
  * slice consumes the *identical* step sequence, so that shared work
  * can be hoisted out of the per-cell loop entirely: one cursor set,
  * one decoded step, one stats update per (OoO, uop-cache, fusion)
- * combination, and a structure-of-arrays inner loop that touches
- * only per-cell cycle state. The walk is time-tiled, and on AVX-512
- * hosts the per-cell loop runs 16 cells per vector of 32-bit cycle
- * stamps whenever the walk's stamps provably fit 32 bits
- * (CISA_BATCH_SIMD=0 forces the portable scalar kernel). See
- * DESIGN.md §9 for the layout and the bit-identity argument.
+ * combination, and a time-tiled inner loop that touches only
+ * per-cell cycle state, 16 cells per AVX-512 vector of 32-bit cycle
+ * stamps. A walk takes that vector kernel whenever the host has
+ * AVX-512 and its stamps provably fit 32 bits; every other walk (and
+ * every walk under CISA_BATCH_SIMD=0) replays each cell alone
+ * through simulateCoreReplay. See DESIGN.md §9 for the layout and
+ * the bit-identity argument.
  */
 
 #ifndef CISA_UARCH_BATCH_HH
@@ -39,7 +40,9 @@ namespace cisa
  * out-of-order). Returns one PerfResult per cell, in input order,
  * byte-identical to what simulateCoreReplay (and the live engine)
  * would produce for each cell alone; panics on a slice or budget
- * mismatch, exactly like simulateCoreReplay.
+ * mismatch, exactly like simulateCoreReplay. @p walks (optional)
+ * receives the number of trace walks this took: 1 on the vector
+ * kernel, @p ncells when each cell replayed alone.
  */
 std::vector<PerfResult> simulateCoreBatch(const CoreConfig *cells,
                                           size_t ncells,
@@ -47,7 +50,16 @@ std::vector<PerfResult> simulateCoreBatch(const CoreConfig *cells,
                                           const StructuralStream &stream,
                                           uint64_t timed_uops,
                                           uint64_t warmup_uops,
-                                          const RunEnv &env = {});
+                                          const RunEnv &env = {},
+                                          size_t *walks = nullptr);
+
+/**
+ * Whether simulateCoreBatch may take its vector kernel here: the
+ * kernel is compiled in (x86-64, GNU C++), the CPU has AVX-512
+ * F/BW/DQ/VL, and CISA_BATCH_SIMD is on. A walk then takes it iff
+ * its cycle stamps provably fit 32 bits.
+ */
+bool batchSimdAvailable();
 
 } // namespace cisa
 

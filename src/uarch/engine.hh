@@ -9,7 +9,9 @@
  * a memoized StructuralStream. The Engine template below contains
  * every cycle-accounting rule exactly once, so the two paths cannot
  * drift — bit-identical PerfResults are a structural property, not a
- * testing aspiration (though tests assert it anyway).
+ * testing aspiration (though tests assert it anyway). The AVX-512
+ * lockstep kernel (src/uarch/batch.cc) is a transliteration of
+ * Engine::step, held to it by a randomized differential test.
  *
  * This header is internal to cisa_uarch (core.cc and replay.cc); it
  * is not part of the public uarch API.
@@ -147,6 +149,19 @@ sbCovers(uint64_t sb_addr, uint8_t sb_size, uint64_t maddr,
     return maddr >= sb_addr && maddr + msize <= sb_addr + sb_size;
 }
 
+/** Fold hierarchy counters @p m into the PerfStats snapshot @p s. */
+inline void
+setMem(PerfStats &s, const MemSnap &m)
+{
+    s.l1iAccesses = m.l1iAccesses;
+    s.l1iMisses = m.l1iMisses;
+    s.l1dAccesses = m.l1dAccesses;
+    s.l1dMisses = m.l1dMisses;
+    s.l2Accesses = m.l2Accesses;
+    s.l2Misses = m.l2Misses;
+    s.memAccesses = m.memAccesses;
+}
+
 /**
  * Live structural backend: the real cache hierarchy, predictors, and
  * address-matching state. Also reused by the structural-stream
@@ -277,13 +292,7 @@ struct LiveStructural
     {
         MemSnap m;
         snapshotCounters(m);
-        s.l1iAccesses = m.l1iAccesses;
-        s.l1iMisses = m.l1iMisses;
-        s.l1dAccesses = m.l1dAccesses;
-        s.l1dMisses = m.l1dMisses;
-        s.l2Accesses = m.l2Accesses;
-        s.l2Misses = m.l2Misses;
-        s.memAccesses = m.memAccesses;
+        setMem(s, m);
     }
 };
 

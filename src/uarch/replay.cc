@@ -433,14 +433,7 @@ struct ReplayStructural
     void
     snapshotMem(PerfStats &s, bool final) const
     {
-        const MemSnap &m = final ? ss.fin : ss.warm;
-        s.l1iAccesses = m.l1iAccesses;
-        s.l1iMisses = m.l1iMisses;
-        s.l1dAccesses = m.l1dAccesses;
-        s.l1dMisses = m.l1dMisses;
-        s.l2Accesses = m.l2Accesses;
-        s.l2Misses = m.l2Misses;
-        s.memAccesses = m.memAccesses;
+        engine_detail::setMem(s, final ? ss.fin : ss.warm);
     }
 };
 

@@ -9,9 +9,9 @@
  * FP/SIMD ALU counts, load/store queue size, and the cache
  * hierarchy. enumerate() applies the paper's style of pruning
  * (no 4-issue cores with one ALU, queue sizes tied to execution
- * semantics), yielding 150 configurations; crossed with the 26
- * feature sets that is 3900 design points (paper: 180 x 26 = 4680 —
- * the exact pruning rules are unpublished).
+ * semantics), yielding 180 configurations; crossed with the 26
+ * feature sets that is the paper's 4680 design points (the paper
+ * does not publish its pruning rules; these are this model's).
  */
 
 #ifndef CISA_UARCH_UCONFIG_HH
@@ -74,7 +74,7 @@ struct MicroArchConfig
     uint64_t fingerprint() const;
 
     /**
-     * The pruned configuration space (150 entries, stable order).
+     * The pruned configuration space (180 entries, stable order).
      */
     static const std::vector<MicroArchConfig> &enumerate();
 

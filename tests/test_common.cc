@@ -201,8 +201,8 @@ TEST(Env, BatchKnobs)
     setenv("CISA_BATCH_WIDTH", "nope", 1);
     EXPECT_EQ(batchWidth(), 64);
 
-    // The vector-kernel gate: default on, 0 forces the scalar tile
-    // kernel (results are bit-identical either way).
+    // The vector-kernel gate: default on, 0 forces per-cell replay
+    // (results are bit-identical either way).
     unsetenv("CISA_BATCH_SIMD");
     EXPECT_TRUE(batchSimdEnabled());
     setenv("CISA_BATCH_SIMD", "0", 1);

@@ -17,6 +17,7 @@
 #include "uarch/bpred.hh"
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
+#include "uarch/engine.hh"
 #include "uarch/replay.hh"
 #include "uarch/uopcache.hh"
 #include "workloads/profiles.hh"
@@ -28,10 +29,8 @@ namespace
 {
 
 Trace
-traceFor(const char *bench, const FeatureSet &fs, int phase = 0)
+phaseTrace(PhaseProfile p, const FeatureSet &fs)
 {
-    int bi = benchIndex(bench);
-    PhaseProfile p = specSuite()[size_t(bi)].phases[size_t(phase)];
     p.targetDynOps = 30000;
     p.outerTrip = 3;
     IrModule m = buildPhase(p);
@@ -43,6 +42,14 @@ traceFor(const char *bench, const FeatureSet &fs, int phase = 0)
     Trace tr;
     executeMachine(prog, img, 1ULL << 30, &tr);
     return tr;
+}
+
+Trace
+traceFor(const char *bench, const FeatureSet &fs, int phase = 0)
+{
+    int bi = benchIndex(bench);
+    return phaseTrace(specSuite()[size_t(bi)].phases[size_t(phase)],
+                      fs);
 }
 
 PerfResult
@@ -680,40 +687,11 @@ TEST(Batch, CellOrderIsIrrelevant)
         EXPECT_TRUE(
             sameResult(fwd[i], bwd[cells.size() - 1 - i]))
             << family[i].name();
-        // A singleton batch is the degenerate case the campaign's
-        // fallback path uses.
+        // A one-cell batch, as the campaign walks a one-cell chunk.
         std::vector<PerfResult> one =
             simulateCoreBatch(&cells[i], 1, rt, ss, timed, warm);
         EXPECT_TRUE(sameResult(fwd[i], one[0])) << family[i].name();
     }
-}
-
-TEST(Batch, ScalarKernelMatchesVectorKernel)
-{
-    // The AVX-512 kernel (taken by default on capable CPUs when the
-    // 32-bit stamp bound holds) and the portable scalar tile kernel
-    // must agree bit for bit; CISA_BATCH_SIMD=0 forces the scalar
-    // path. On hosts without AVX-512 both runs take the scalar
-    // kernel and the test degenerates to determinism.
-    FeatureSet fs = FeatureSet::x86_64();
-    Trace tr = traceFor("gobmk", fs);
-    const uint64_t timed = 7000, warm = 1500;
-    ReplayTrace rt = ReplayTrace::build(tr, timed + warm);
-    std::vector<MicroArchConfig> family = sliceFamily();
-    std::vector<CoreConfig> cells;
-    for (const MicroArchConfig &ua : family)
-        cells.push_back({fs, ua});
-    StructuralStream ss = buildStructuralStream(cells[0], {}, tr,
-                                                rt, timed, warm);
-
-    std::vector<PerfResult> vec = simulateCoreBatch(
-        cells.data(), cells.size(), rt, ss, timed, warm);
-    setenv("CISA_BATCH_SIMD", "0", 1);
-    std::vector<PerfResult> sca = simulateCoreBatch(
-        cells.data(), cells.size(), rt, ss, timed, warm);
-    unsetenv("CISA_BATCH_SIMD");
-    for (size_t i = 0; i < cells.size(); i++)
-        EXPECT_TRUE(sameResult(vec[i], sca[i])) << family[i].name();
 }
 
 TEST(UConfig, FingerprintSeparatesL1Associativity)
@@ -821,6 +799,263 @@ TEST(PerfStats, WarmupWindowDiffInvariants)
     PerfStats zero = PerfStats::diff(full.stats, full.stats);
     PerfStats fresh{};
     EXPECT_EQ(std::memcmp(&zero, &fresh, sizeof(PerfStats)), 0);
+}
+
+/** A random structural slice (cache geometry, predictor) and run
+ * environment; randomTiming draws the timing-side fields. */
+MicroArchConfig
+randomSlice(Pcg32 &rng, RunEnv &env)
+{
+    auto pick = [&](std::initializer_list<int> v) {
+        return v.begin()[rng.below(uint32_t(v.size()))];
+    };
+    MicroArchConfig c;
+    c.bpred = BpKind(rng.below(3));
+    c.l1iKB = pick({4, 16, 32, 64});
+    c.l1iAssoc = pick({1, 2, 4, 8});
+    c.l1dKB = pick({4, 16, 32, 64});
+    c.l1dAssoc = pick({1, 2, 4, 8});
+    c.l2KB = pick({128, 1024, 4096, 8192});
+    c.l2Assoc = pick({1, 2, 4, 8});
+    env = RunEnv{pick({4, 2, 1}) / 4.0, pick({10, 13, 25}) / 10.0};
+    return c;
+}
+
+/** @p slice with every timing-side field drawn at random, off the
+ * enumerated grid as often as on it. */
+MicroArchConfig
+randomTiming(Pcg32 &rng, const MicroArchConfig &slice)
+{
+    const int max_units = engine_detail::FuPools::kMaxUnits;
+    MicroArchConfig c = slice;
+    c.outOfOrder = rng.chance(0.5);
+    c.width = int(rng.range(1, 8));
+    c.robSize = int(rng.range(1, 256));
+    c.iqSize = int(rng.range(1, 128));
+    c.lsqSize = int(rng.range(1, 64));
+    c.intAlus = int(rng.range(1, max_units));
+    c.intMuls = int(rng.range(1, max_units));
+    c.fpAlus = int(rng.range(1, max_units));
+    c.simpleDecoders = int(rng.range(1, 4));
+    c.uopCache = rng.chance(0.5);
+    c.uopFusion = rng.chance(0.5);
+    return c;
+}
+
+/**
+ * A short random DynOp loop that reaches, in a few hundred ops, the
+ * timing rules a compiled phase exercises only now and then:
+ * unpipelined divides, cracked multi-uop ops, micro-fusable load-op
+ * pairs and read-modify-writes, loads and stores over a small
+ * address pool (store-buffer forwarding), far loads (hierarchy
+ * misses), flag-writing ALU ops followed by conditional branches
+ * (macro fusion), predicated ops, and calls and returns.
+ */
+Trace
+synthTrace(Pcg32 &rng)
+{
+    static const MicroClass kCls[] = {
+        MicroClass::IntAlu, MicroClass::IntAlu, MicroClass::IntMul,
+        MicroClass::IntDiv, MicroClass::FpMul,  MicroClass::FpDiv,
+        MicroClass::SimdMul};
+    auto reg = [&](bool fp) {
+        return int16_t(fp ? kXmmBase + int(rng.below(8))
+                          : kGprBase + int(rng.below(12)));
+    };
+    std::vector<uint64_t> blocks = {0x400000};
+    uint64_t pc = blocks[0];
+    Trace tr;
+    auto append = [&](DynOp op, int len) {
+        op.pc = pc;
+        op.len = uint8_t(len);
+        pc = op.target = pc + op.len;
+        if (op.taken()) { // continue at a (possibly new) block start
+            if (rng.chance(0.3))
+                blocks.push_back(pc + 0x1000 * rng.range(1, 64));
+            pc = op.target = blocks[rng.below(uint32_t(blocks.size()))];
+        }
+        tr.ops.push_back(op);
+    };
+
+    const size_t n = size_t(rng.range(4, 300));
+    while (tr.ops.size() < n) {
+        DynOp op;
+        op.cls = kCls[rng.below(7)];
+        const bool fp = op.cls >= MicroClass::FpAlu;
+        op.dst = reg(fp);
+        op.src1 = reg(fp);
+        if (rng.chance(0.5))
+            op.src2 = reg(fp);
+        op.readsDst = rng.chance(0.3);
+        const uint32_t kind = rng.below(10);
+        if (kind < 4) { // register op, sometimes cracked
+            op.writesFlags = !fp && rng.chance(0.4);
+            if (rng.chance(0.2))
+                op.uops = uint8_t(rng.chance(0.9) ? rng.range(2, 6)
+                                                  : rng.range(7, 40));
+        } else if (kind < 8) { // Load, Store, LoadOp, LoadOpStore
+            op.form = MemForm(kind - 3);
+            op.uops = op.form == MemForm::LoadOp
+                          ? uint8_t(rng.range(2, 3))
+                          : op.form == MemForm::LoadOpStore ? 4 : 1;
+            op.base = reg(false);
+            op.maddr = rng.chance(0.7)
+                           ? 0x8000 + 4 * uint64_t(rng.below(12))
+                           : 0x1000000 + 64 * uint64_t(rng.below(65536));
+            op.msize = uint8_t(1u << rng.below(4));
+        } else { // jump, call or return
+            op = DynOp{};
+            op.cls = MicroClass::Branch;
+            op.flags = DynIsBranch | DynTaken;
+            if (rng.chance(0.3))
+                op.flags |= rng.chance(0.5) ? DynCall : DynRet;
+        }
+        if (kind < 8 && rng.chance(0.1)) { // predicated, maybe out
+            op.pred = reg(false);
+            op.flags = DynPredicated;
+            if (rng.chance(0.5))
+                op.flags |= DynPredFalse;
+        }
+        append(op, int(rng.range(1, 15)));
+        if (isFusableCmp(op) && rng.chance(0.8)) {
+            DynOp br;
+            br.cls = MicroClass::Branch;
+            br.flags = rng.chance(0.6) ? DynIsBranch | DynTaken
+                                       : DynIsBranch;
+            br.readsFlags = true;
+            append(br, int(rng.range(2, 6)));
+        }
+    }
+    return tr;
+}
+
+/**
+ * The 32-bit stamp proof of simulateCoreBatch, restated: the largest
+ * maxDloadExtra at which a walk of @p total uops over @p rt and
+ * @p ss may take the vector kernel (one step's stamps grow by at
+ * most advance = maxStepLatSum + maxStepLoads * maxDloadExtra +
+ * maxIfetchExtra + 32, and the walk needs advance <= 2^20 and
+ * 1 + total * advance <= 2^31).
+ */
+uint64_t
+maxSimdDloadExtra(const ReplayTrace &rt, const StructuralStream &ss,
+                  uint64_t total)
+{
+    const uint64_t cap = std::min<uint64_t>(
+        uint64_t(1) << 20, ((uint64_t(1) << 31) - 1) / total);
+    return (cap - rt.maxStepLatSum - ss.maxIfetchExtra - 32) /
+           std::max<uint32_t>(1, rt.maxStepLoads);
+}
+
+TEST(Batch, RandomizedKernelsMatchLiveEngine)
+{
+    // Seeded differential test of the lockstep walk against per-cell
+    // replay and the live engine: random slices, random timing-side
+    // cells, compiled phases of random (phase, feature set) pairs and
+    // synthesized DynOp loops, budgets with and without warm-up.
+    // Each case's batch runs as the host runs it (one walk where the
+    // vector kernel is eligible, else one per cell) and with
+    // CISA_BATCH_SIMD=0 (one per cell).
+    const char *knob = getenv("CISA_BATCH_SIMD");
+    const std::string saved = knob ? knob : "";
+    Pcg32 rng(0x5EED, 22);
+    for (int c = 0; c < 60; c++) {
+        RunEnv env;
+        MicroArchConfig slice = randomSlice(rng, env);
+        FeatureSet fs = FeatureSet::byId(
+            int(rng.below(uint32_t(FeatureSet::count()))));
+        Trace tr = c % 4 ? synthTrace(rng)
+                         : phaseTrace(allPhases()[rng.below(
+                                          uint32_t(phaseCount()))],
+                                      fs);
+        const uint64_t timed = uint64_t(rng.range(50, 4000));
+        const uint64_t warm =
+            rng.chance(0.3) ? 0 : uint64_t(rng.range(1, 2000));
+        std::vector<CoreConfig> cells(size_t(rng.range(1, 40)));
+        for (CoreConfig &cc : cells)
+            cc = {fs, randomTiming(rng, slice)};
+
+        ReplayTrace rt = ReplayTrace::build(tr, timed + warm);
+        StructuralStream ss =
+            buildStructuralStream(cells[0], env, tr, rt, timed, warm);
+        const bool vector = batchSimdAvailable() &&
+                            ss.maxDloadExtra <=
+                                maxSimdDloadExtra(rt, ss, timed + warm);
+        size_t walks = 0, solo_walks = 0;
+        std::vector<PerfResult> batch =
+            simulateCoreBatch(cells.data(), cells.size(), rt, ss, timed,
+                              warm, env, &walks);
+        setenv("CISA_BATCH_SIMD", "0", 1);
+        std::vector<PerfResult> solo =
+            simulateCoreBatch(cells.data(), cells.size(), rt, ss, timed,
+                              warm, env, &solo_walks);
+        if (knob)
+            setenv("CISA_BATCH_SIMD", saved.c_str(), 1);
+        else
+            unsetenv("CISA_BATCH_SIMD");
+        EXPECT_EQ(walks, vector ? 1u : cells.size()) << "case " << c;
+        EXPECT_EQ(solo_walks, cells.size()) << "case " << c;
+
+        for (size_t i = 0; i < cells.size(); i++) {
+            PerfResult rep =
+                simulateCoreReplay(cells[i], rt, ss, timed, warm, env);
+            PerfResult live =
+                simulateCore(cells[i], tr, timed, warm, env);
+            EXPECT_TRUE(sameResult(rep, live) &&
+                        sameResult(batch[i], rep) &&
+                        sameResult(solo[i], rep))
+                << "case " << c << " cell " << i;
+        }
+    }
+}
+
+TEST(Batch, StampBoundGuardsTheVectorKernel)
+{
+    // Raise every hierarchy load latency of a real stream to D, the
+    // largest value the vector kernel's 32-bit stamp bound admits,
+    // then to D + 1 and 2D, and compare each walk with per-cell
+    // replay (64-bit stamps). Past D the walk must replay cell by
+    // cell.
+    Pcg32 rng(0xB0DE, 22);
+    for (int k = 0; k < 3; k++) {
+        const int phase = int(rng.below(uint32_t(phaseCount())));
+        RunEnv env;
+        MicroArchConfig slice = randomSlice(rng, env);
+        FeatureSet fs = FeatureSet::x86_64();
+        Trace tr = phaseTrace(allPhases()[size_t(phase)], fs);
+        std::vector<CoreConfig> cells(24);
+        for (CoreConfig &cc : cells)
+            cc = {fs, randomTiming(rng, slice)};
+        for (uint64_t timed : {1500, 6000}) {
+            const uint64_t warm = timed / 4;
+            ReplayTrace rt = ReplayTrace::build(tr, timed + warm);
+            StructuralStream ss = buildStructuralStream(
+                cells[0], env, tr, rt, timed, warm);
+            ASSERT_GT(rt.maxStepLoads, 0u);
+            const uint64_t d = maxSimdDloadExtra(rt, ss, timed + warm);
+            for (uint64_t lat : {d, d + 1, 2 * d}) {
+                StructuralStream slow = ss;
+                for (uint32_t &x : slow.dloadExtra)
+                    x = uint32_t(lat);
+                slow.maxDloadExtra = uint32_t(lat);
+                size_t walks = 0;
+                std::vector<PerfResult> batch = simulateCoreBatch(
+                    cells.data(), cells.size(), rt, slow, timed, warm,
+                    env, &walks);
+                EXPECT_EQ(walks, lat == d && batchSimdAvailable()
+                                     ? 1u
+                                     : cells.size())
+                    << "phase " << phase << " latency " << lat;
+                for (size_t i = 0; i < cells.size(); i++) {
+                    EXPECT_TRUE(sameResult(
+                        batch[i], simulateCoreReplay(cells[i], rt, slow,
+                                                     timed, warm, env)))
+                        << "phase " << phase << " timed " << timed
+                        << " latency " << lat << " cell " << i;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
