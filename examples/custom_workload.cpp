@@ -68,7 +68,7 @@ buildKernel(uint64_t n)
     int lim = b.constInt(1 << 20, Type::I32);
     int clamped = b.select(over, lim, s, Type::I32);
     b.arithInto(acc, IrOp::Add, acc, clamped, Type::I32);
-    // Histogram RMW.
+    // Read-modify-write of one histogram bucket.
     int bucket = b.arithImm(IrOp::And, clamped, 63, Type::I32);
     int haddr = b.gep(base_h, bucket, 4, 0);
     int h = b.load(haddr, Type::I32);

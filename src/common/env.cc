@@ -178,12 +178,6 @@ serveCacheEntries()
 }
 
 int
-serveBacklog()
-{
-    return int(envIntRange("CISA_SERVE_BACKLOG", 64, 1, 4096));
-}
-
-int
 serveMaxConns()
 {
     return int(envIntRange("CISA_SERVE_MAX_CONNS", 256, 1, 1 << 20));
@@ -196,46 +190,15 @@ clientRetries()
 }
 
 int
-clientBackoffMs()
-{
-    return int(envIntRange("CISA_CLIENT_BACKOFF_MS", 5, 0, 60000));
-}
-
-int
 routerReplicas()
 {
     return int(envIntRange("CISA_ROUTER_REPLICAS", 2, 1, 64));
 }
 
 int
-routerPoolConns()
-{
-    return int(envIntRange("CISA_ROUTER_POOL", 4, 1, 1024));
-}
-
-int
 routerHealthMs()
 {
     return int(envIntRange("CISA_ROUTER_HEALTH_MS", 250, 10, 60000));
-}
-
-int
-breakerFails()
-{
-    return int(envIntRange("CISA_BREAKER_FAILS", 3, 1, 1000));
-}
-
-int
-breakerCooldownMs()
-{
-    return int(
-        envIntRange("CISA_BREAKER_COOLDOWN_MS", 200, 10, 600000));
-}
-
-bool
-staleServeEnabled()
-{
-    return envInt("CISA_STALE_SERVE", 1) != 0;
 }
 
 int
@@ -270,12 +233,6 @@ dcsimParBatch()
 {
     return int(
         envIntRange("CISA_DCSIM_PAR_BATCH", 64, 2, 1 << 20));
-}
-
-int
-dcsimIdlePct()
-{
-    return int(envIntRange("CISA_DCSIM_IDLE_PCT", 10, 0, 100));
 }
 
 } // namespace cisa

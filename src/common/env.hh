@@ -7,7 +7,14 @@
  * Parsing is strict: a malformed value (`CISA_THREADS=abc`, trailing
  * junk) or one outside the documented range logs one warning and
  * falls back to the default instead of silently yielding 0 or
- * garbage. The consolidated knob table lives in README.md.
+ * garbage. The consolidated knob table lives in README.md, and the
+ * knob_docs ctest checks it against the literals here.
+ *
+ * A value that nothing in the repository ever sets is a constant
+ * beside the code that uses it, not a knob: the listen backlog
+ * (listener.cc), the router's pooled connections per worker
+ * (router.cc), the client's first retry backoff (RetryPolicy) and
+ * the datacenter tile's idle power (power/calib.hh).
  */
 
 #ifndef CISA_COMMON_ENV_HH
@@ -95,10 +102,6 @@ int serveWorkers();
  * cache off; coalescing of in-flight duplicates is always on). */
 int serveCacheEntries();
 
-/** listen(2) backlog of the daemon / router accept socket
- * (CISA_SERVE_BACKLOG). */
-int serveBacklog();
-
 /** Bound on simultaneously-served connections; an accept beyond it
  * is answered with one BUSY frame and closed instead of spawning an
  * unbounded connection thread (CISA_SERVE_MAX_CONNS). */
@@ -108,35 +111,14 @@ int serveMaxConns();
  * failure (CISA_CLIENT_RETRIES, default 0 = fail fast). */
 int clientRetries();
 
-/** Base backoff between client retries in milliseconds; attempt k
- * sleeps ~ backoff * 2^k with jitter (CISA_CLIENT_BACKOFF_MS). */
-int clientBackoffMs();
-
 /** Replication factor of the router's consistent-hash ring: how
  * many workers own (and may serve) each slab key
  * (CISA_ROUTER_REPLICAS). */
 int routerReplicas();
 
-/** Idle pooled connections the router keeps per worker
- * (CISA_ROUTER_POOL). */
-int routerPoolConns();
-
 /** Router health-check period in milliseconds
  * (CISA_ROUTER_HEALTH_MS). */
 int routerHealthMs();
-
-/** Consecutive exchange failures that trip a worker's circuit
- * breaker open (CISA_BREAKER_FAILS). */
-int breakerFails();
-
-/** How long a tripped breaker stays open before one half-open probe
- * is allowed through, in milliseconds (CISA_BREAKER_COOLDOWN_MS). */
-int breakerCooldownMs();
-
-/** Degraded-mode serving: answer cacheable requests from the LRU
- * with an explicit stale flag (instead of BUSY) while the executor
- * is draining or its queue is full (CISA_STALE_SERVE, default on). */
-bool staleServeEnabled();
 
 /** Supervisor: base restart backoff in milliseconds after a worker
  * death (CISA_SUPERVISE_BACKOFF_MS); doubles per consecutive
@@ -162,10 +144,6 @@ int superviseCrashLoop();
  * event loop thread. Results are bit-identical either way
  * (CISA_DCSIM_PAR_BATCH). */
 int dcsimParBatch();
-
-/** Idle power of an unoccupied datacenter tile as a percentage of
- * its structural peak power (CISA_DCSIM_IDLE_PCT). */
-int dcsimIdlePct();
 
 } // namespace cisa
 

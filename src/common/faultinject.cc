@@ -8,6 +8,7 @@
 
 #include <time.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -211,17 +212,15 @@ sleepMs(uint32_t ms)
     }
 }
 
-/** Arm from CISA_FAULTS at load time, before main() runs. */
+/** Arm from CISA_FAULTS at load time, before main() runs. envInt()
+ * may warn this early: the log level is constant-initialized. */
 struct EnvArm {
     EnvArm()
     {
         const char *spec = std::getenv("CISA_FAULTS");
         if (!spec || !*spec)
             return;
-        const char *seedStr = std::getenv("CISA_FAULTS_SEED");
-        uint64_t seed = 1;
-        if (seedStr && *seedStr)
-            seed = std::strtoull(seedStr, nullptr, 10);
+        uint64_t seed = uint64_t(envInt("CISA_FAULTS_SEED", 1));
         std::string err;
         if (!faultConfigure(spec, seed, &err))
             warn("CISA_FAULTS ignored: %s", err.c_str());

@@ -10,30 +10,12 @@ namespace cisa
 namespace
 {
 LogLevel g_level = LogLevel::Info;
-
-const char *
-levelTag(LogLevel lvl)
-{
-    switch (lvl) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info:  return "info";
-      case LogLevel::Warn:  return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
-}
 } // namespace
 
 void
 setLogLevel(LogLevel lvl)
 {
     g_level = lvl;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
 }
 
 std::string
@@ -56,18 +38,6 @@ strfmt(const char *fmt, ...)
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
     return s;
-}
-
-void
-logf(LogLevel lvl, const char *fmt, ...)
-{
-    if (lvl < g_level)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "%s: %s\n", levelTag(lvl), s.c_str());
 }
 
 void

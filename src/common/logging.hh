@@ -23,13 +23,6 @@ enum class LogLevel { Debug, Info, Warn, Error };
  */
 void setLogLevel(LogLevel lvl);
 
-/** Current log threshold. */
-LogLevel logLevel();
-
-/** Printf-style message at a given level. */
-void logf(LogLevel lvl, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
 /** Status message with no connotation of incorrect behaviour. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -1,23 +1,11 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace cisa
 {
-
-double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / double(xs.size());
-}
 
 double
 geomean(const std::vector<double> &xs)
@@ -30,79 +18,6 @@ geomean(const std::vector<double> &xs)
         s += std::log(x);
     }
     return std::exp(s / double(xs.size()));
-}
-
-double
-harmonicMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs) {
-        panic_if(x <= 0.0, "harmonic mean of non-positive value %f", x);
-        s += 1.0 / x;
-    }
-    return double(xs.size()) / s;
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / double(xs.size()));
-}
-
-void
-Accum::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    n_++;
-    sum_ += x;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    panic_if(buckets < 1, "histogram needs at least one bucket");
-    panic_if(hi <= lo, "histogram range is empty");
-}
-
-void
-Histogram::add(double x)
-{
-    double f = (x - lo_) / (hi_ - lo_);
-    long i = long(f * double(counts_.size()));
-    i = std::clamp(i, 0L, long(counts_.size()) - 1);
-    counts_[size_t(i)]++;
-    total_++;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return lo_;
-    uint64_t need = uint64_t(std::ceil(p * double(total_)));
-    need = std::max<uint64_t>(need, 1);
-    uint64_t seen = 0;
-    for (size_t i = 0; i < counts_.size(); i++) {
-        seen += counts_[i];
-        if (seen >= need) {
-            return lo_ +
-                   (hi_ - lo_) * double(i) / double(counts_.size());
-        }
-    }
-    return hi_;
 }
 
 } // namespace cisa

@@ -1,85 +1,18 @@
 /**
  * @file
- * Small statistics helpers: summary math (mean/geomean), a streaming
- * accumulator, and a fixed-bucket histogram. These are deliberately
- * lighter than gem5's stats package: results here flow into report
- * tables rather than a stats dump.
+ * Summary math for report tables: the geometric mean.
  */
 
 #ifndef CISA_COMMON_STATS_HH
 #define CISA_COMMON_STATS_HH
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace cisa
 {
 
-/** Arithmetic mean; 0 for an empty set. */
-double mean(const std::vector<double> &xs);
-
 /** Geometric mean; 0 for an empty set. Values must be positive. */
 double geomean(const std::vector<double> &xs);
-
-/** Harmonic mean; 0 for an empty set. Values must be positive. */
-double harmonicMean(const std::vector<double> &xs);
-
-/** Population standard deviation; 0 for fewer than two samples. */
-double stddev(const std::vector<double> &xs);
-
-/**
- * Streaming accumulator for count/sum/min/max/mean without storing
- * the samples.
- */
-class Accum
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / double(n_) : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-  private:
-    uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * Histogram with uniform buckets over [lo, hi); samples outside the
- * range clamp into the first/last bucket.
- */
-class Histogram
-{
-  public:
-    /** @param buckets number of buckets, must be >= 1. */
-    Histogram(double lo, double hi, size_t buckets);
-
-    /** Record one sample. */
-    void add(double x);
-
-    /** Count in bucket i. */
-    uint64_t bucket(size_t i) const { return counts_[i]; }
-
-    size_t buckets() const { return counts_.size(); }
-    uint64_t total() const { return total_; }
-
-    /** Smallest sample value x such that cdf(x) >= p, approximated by
-     * bucket lower edges. */
-    double percentile(double p) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
-};
 
 } // namespace cisa
 

@@ -7,19 +7,6 @@
 namespace cisa
 {
 
-const char *
-typeName(Type t)
-{
-    switch (t) {
-      case Type::I32:    return "i32";
-      case Type::I64:    return "i64";
-      case Type::F64:    return "f64";
-      case Type::V128:   return "v128";
-      case Type::PtrInt: return "ptr";
-    }
-    return "?";
-}
-
 int
 typeBytes(Type t, int ptr_bits)
 {

@@ -36,9 +36,6 @@ enum class Type : uint8_t {
     PtrInt ///< integer of the target's pointer width
 };
 
-/** Printable type name. */
-const char *typeName(Type t);
-
 /** Size in bytes given the target register width in bits. */
 int typeBytes(Type t, int ptr_bits);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "common/env.hh"
 #include "common/logging.hh"
+#include "power/calib.hh"
 #include "workloads/profiles.hh"
 
 namespace cisa
@@ -212,9 +212,8 @@ Cluster::fromMix(const std::string &mix_spec, uint64_t cores)
         cl.classes_[i].count = share[i];
         cl.classes_[i].firstTile = at;
         cl.classes_[i].areaMm2 = cl.classes_[i].point.areaMm2();
-        cl.classes_[i].idlePowerW =
-            cl.classes_[i].point.peakPowerW() *
-            double(dcsimIdlePct()) / 100.0;
+        cl.classes_[i].idlePowerW = cl.classes_[i].point.peakPowerW() *
+                                    power_calib::kIdlePowerPct / 100.0;
         at += share[i];
     }
     cl.tiles_ = at;

@@ -17,7 +17,8 @@
  * own their cache slice, unlike the 4-way shared-L2 contention the
  * Mp columns model. Power accounting: busy energy comes from the
  * slab's energyPerRun (the src/power model), idle tiles draw
- * CISA_DCSIM_IDLE_PCT percent of their structural peak power.
+ * power_calib::kIdlePowerPct (10) percent of their structural peak
+ * power.
  */
 
 #ifndef CISA_DCSIM_CLUSTER_HH

@@ -107,8 +107,11 @@ Campaign::adoptFromStore(int owned)
         }
         if (computing_[s] && r.slab != owned)
             continue;
-        std::memcpy(table_.data() + s * span, r.vals.data(),
-                    span * sizeof(PhasePerf));
+        // The static_asserts above make this raw-float fill of
+        // PhasePerf well defined; the void * cast tells GCC's
+        // -Wclass-memaccess so.
+        std::memcpy(static_cast<void *>(table_.data() + s * span),
+                    r.vals.data(), span * sizeof(PhasePerf));
         ready_[s].store(true, std::memory_order_release);
         got |= r.slab == owned;
     }

@@ -52,28 +52,6 @@ opName(Op op)
     }
 }
 
-const char *
-microClassName(MicroClass c)
-{
-    switch (c) {
-      case MicroClass::IntAlu:  return "IntAlu";
-      case MicroClass::IntMul:  return "IntMul";
-      case MicroClass::IntDiv:  return "IntDiv";
-      case MicroClass::FpAlu:   return "FpAlu";
-      case MicroClass::FpMul:   return "FpMul";
-      case MicroClass::FpDiv:   return "FpDiv";
-      case MicroClass::SimdAlu: return "SimdAlu";
-      case MicroClass::SimdMul: return "SimdMul";
-      case MicroClass::Load:    return "Load";
-      case MicroClass::Store:   return "Store";
-      case MicroClass::Branch:  return "Branch";
-      default: panic("bad micro class %d", int(c));
-    }
-}
-
-
-
-
 MicroClass
 opClass(Op op)
 {

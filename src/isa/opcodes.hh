@@ -65,9 +65,6 @@ enum class MicroClass : uint8_t {
     NumClasses
 };
 
-/** Printable class name. */
-const char *microClassName(MicroClass c);
-
 /** Execution latency (cycles) of a micro-op class, excluding memory
  * hierarchy time for loads. Constexpr: evaluated once per issued uop
  * on the simulation hot path, so it must inline to a table lookup

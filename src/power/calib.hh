@@ -31,6 +31,10 @@ constexpr double kFreqHz = 3.0e9;
 /** Leakage as a fraction of structural peak power. */
 constexpr double kLeakageFraction = 0.25;
 
+/** Draw of an idle (unoccupied) datacenter tile, in percent of its
+ * structural peak power; the datacenter simulator's idle energy. */
+constexpr double kIdlePowerPct = 10;
+
 // ---- Area (mm^2) ----
 constexpr double kL1Per32KArea = 0.50;
 constexpr double kL2PerMbArea = 5.6;

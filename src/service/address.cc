@@ -125,13 +125,6 @@ bindUnixSocket(int fd, const std::string &path, std::string *err)
 
 } // namespace
 
-bool
-isTcpAddress(const std::string &addr)
-{
-    std::string path;
-    return !unixPathOf(addr, &path);
-}
-
 void
 setNoDelay(int fd)
 {

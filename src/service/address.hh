@@ -27,10 +27,6 @@
 namespace cisa
 {
 
-/** Whether @p addr names a TCP endpoint (host:port) rather than a
- * UNIX socket path. */
-bool isTcpAddress(const std::string &addr);
-
 /**
  * Create, bind, and listen a socket on @p addr. On success returns
  * the listening fd and stores the actually-bound address (with the

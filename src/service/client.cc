@@ -21,7 +21,6 @@ RetryPolicy::fromEnv()
 {
     RetryPolicy p;
     p.retries = clientRetries();
-    p.backoffMs = clientBackoffMs();
     return p;
 }
 

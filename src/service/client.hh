@@ -11,7 +11,7 @@
  * identical concurrent requests coalesce server-side).
  *
  * Retries: with a non-zero RetryPolicy (default from
- * CISA_CLIENT_RETRIES / CISA_CLIENT_BACKOFF_MS), connect() retries
+ * CISA_CLIENT_RETRIES, with a 5 ms first backoff), connect() retries
  * refused connections and call() retries BUSY responses and
  * transport failures (reconnecting first), sleeping an exponentially
  * growing, jittered backoff between attempts. Re-sending after a
@@ -39,7 +39,7 @@ struct RetryPolicy
     int retries = 0;   ///< extra attempts after the first
     int backoffMs = 5; ///< first sleep; doubles per attempt
 
-    /** CISA_CLIENT_RETRIES / CISA_CLIENT_BACKOFF_MS. */
+    /** CISA_CLIENT_RETRIES retries, default backoff. */
     static RetryPolicy fromEnv();
 };
 

@@ -40,9 +40,7 @@ Executor::Executor(const Options &opts)
       bound_(opts.queueBound > 0 ? size_t(opts.queueBound)
                                  : size_t(serveQueueBound())),
       cacheCap_(opts.cacheEntries >= 0 ? size_t(opts.cacheEntries)
-                                       : size_t(serveCacheEntries())),
-      staleServe_(opts.staleServe >= 0 ? opts.staleServe != 0
-                                       : staleServeEnabled())
+                                       : size_t(serveCacheEntries()))
 {
     int n = opts.workers > 0 ? opts.workers : serveWorkers();
     workers_.reserve(size_t(n));
@@ -107,15 +105,13 @@ Executor::submit(const Request &req, uint32_t deadline_ms,
     // whose answer sits in the LRU is served from it with the stale
     // flag set instead of BUSY. The body is still exact — responses
     // are deterministic — the flag marks the serving mode, not the
-    // content. CISA_STALE_SERVE=0 restores the strict behaviour
-    // (drain answers BUSY even on a hit).
+    // content.
     if (req.cacheable()) {
         auto it = cacheIdx_.find(key);
-        if (it != cacheIdx_.end() && !(draining_ && !staleServe_)) {
-            bool degraded = draining_ || queue_.size() >= bound_;
+        if (it != cacheIdx_.end()) {
             cache_.splice(cache_.begin(), cache_, it->second);
             *cached = it->second->second;
-            cached->stale = degraded && staleServe_;
+            cached->stale = draining_ || queue_.size() >= bound_;
             m.cacheHits.fetch_add(1, std::memory_order_relaxed);
             if (cached->stale)
                 m.stale.fetch_add(1, std::memory_order_relaxed);

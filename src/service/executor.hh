@@ -35,6 +35,10 @@
  * Drain: drain() stops admission (submits return Busy), lets queued
  * and running jobs finish, and joins the dispatchers. Used by the
  * server's SIGTERM path.
+ *
+ * Degraded mode: while draining or with the queue at its bound, a
+ * cacheable request whose answer is cached is still served, with the
+ * response's stale bit set instead of Busy (see submit()).
  */
 
 #ifndef CISA_SERVICE_EXECUTOR_HH
@@ -75,9 +79,6 @@ class Executor
         int queueBound = 0;   ///< 0 = CISA_SERVE_QUEUE
         int workers = 0;      ///< 0 = CISA_SERVE_WORKERS
         int cacheEntries = -1; ///< -1 = CISA_SERVE_CACHE
-        /** Degraded-mode stale serving (see submit());
-         * -1 = CISA_STALE_SERVE. */
-        int staleServe = -1;
         Handler handler;      ///< null = built-in dispatch
     };
 
@@ -118,7 +119,8 @@ class Executor
     Response call(const Request &req, uint32_t deadline_ms = 0);
 
     /** Stop admission and finish queued + running work. Idempotent;
-     * afterwards every submit returns Busy. */
+     * afterwards every submit returns Busy, except a cache hit,
+     * which is served stale. */
     void drain();
 
     bool draining() const;
@@ -148,7 +150,6 @@ class Executor
     Handler handler_;
     size_t bound_;
     size_t cacheCap_;
-    bool staleServe_;
     ServiceMetrics metrics_;
 
     mutable std::mutex mu_;

@@ -19,6 +19,9 @@ namespace cisa
 namespace
 {
 
+/** listen(2) backlog of the accept socket. */
+constexpr int kBacklog = 64;
+
 /** One failure response frame; false if the write failed. */
 bool
 replyFail(int fd, Status status, const std::string &msg)
@@ -42,14 +45,13 @@ Listener::~Listener()
 }
 
 bool
-Listener::start(const std::string &address, int backlog, int maxConns,
+Listener::start(const std::string &address, int maxConns,
                 std::string *err)
 {
     panic_if(started_, "%s started twice", name_);
     maxConns_ = size_t(maxConns > 0 ? maxConns : serveMaxConns());
     listenFd_ = listenOn(address.empty() ? serveSocketPath() : address,
-                         backlog > 0 ? backlog : serveBacklog(),
-                         &bound_, err);
+                         kBacklog, &bound_, err);
     if (listenFd_ < 0)
         return false;
     if (::pipe(wakePipe_) != 0) {

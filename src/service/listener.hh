@@ -72,12 +72,12 @@ class Listener
     Listener &operator=(const Listener &) = delete;
 
     /**
-     * Bind @p address (empty = CISA_SERVE_SOCKET), listen with
-     * @p backlog (0 = CISA_SERVE_BACKLOG), and start accepting up to
-     * @p maxConns live connections (0 = CISA_SERVE_MAX_CONNS). False
-     * (with @p err) if the socket can't be set up.
+     * Bind @p address (empty = CISA_SERVE_SOCKET), listen with a
+     * backlog of 64, and start accepting up to @p maxConns live
+     * connections (0 = CISA_SERVE_MAX_CONNS). False (with @p err) if
+     * the socket can't be set up.
      */
-    bool start(const std::string &address, int backlog, int maxConns,
+    bool start(const std::string &address, int maxConns,
                std::string *err);
 
     /** The actually-bound address: TCP "host:0" carries the

@@ -142,15 +142,10 @@ struct StatsSnap
     uint64_t reroutes = 0;     ///< requests moved off a down worker
     uint64_t workersUp = 0;    ///< workers passing health checks
     uint64_t workersKnown = 0; ///< workers configured
-
-    /** Per-worker circuit breakers (router): lifetime trip /
-     * half-open probe / close transitions, breakers open right now,
-     * and requests shed in the router because their propagated
+    uint64_t downMarks = 0;    ///< workers marked down (up -> down)
+    uint64_t rejoins = 0;      ///< down workers back up (down -> up)
+    /** Requests shed in the router because their propagated
      * deadline budget was already spent. */
-    uint64_t breakerTrips = 0;
-    uint64_t breakerProbes = 0;
-    uint64_t breakerRecoveries = 0;
-    uint64_t breakerOpenNow = 0;
     uint64_t deadlineShed = 0;
 
     /** Supervisor roll-up (cisa_fleetd): workers under supervision,
@@ -203,11 +198,9 @@ struct StatsSnap
         f("fleet", "workers up", Sum, s.workersUp...);
         f("fleet", "workers known", Sum, s.workersKnown...);
         f("fleet", "reroutes", Sum, s.reroutes...);
-        f("breakers", "open now", Sum, s.breakerOpenNow...);
-        f("breakers", "trips", Sum, s.breakerTrips...);
-        f("breakers", "probes", Sum, s.breakerProbes...);
-        f("breakers", "recoveries", Sum, s.breakerRecoveries...);
-        f("breakers", "deadline-shed", Sum, s.deadlineShed...);
+        f("fleet", "down-marks", Sum, s.downMarks...);
+        f("fleet", "rejoins", Sum, s.rejoins...);
+        f("fleet", "deadline-shed", Sum, s.deadlineShed...);
         f("supervisor", "workers", Sum, s.workersSupervised...);
         f("supervisor", "restarts", Sum, s.supervisorRestarts...);
         f("supervisor", "crash-looping", Sum,

@@ -18,6 +18,9 @@ namespace cisa
 namespace
 {
 
+/** Idle pooled connections kept per worker. */
+constexpr size_t kPoolConns = 4;
+
 int64_t
 steadyNowMs()
 {
@@ -38,14 +41,8 @@ Router::Router(const Options &opts)
 {
     if (opts_.replicas <= 0)
         opts_.replicas = routerReplicas();
-    if (opts_.poolConns <= 0)
-        opts_.poolConns = routerPoolConns();
     if (opts_.healthMs <= 0)
         opts_.healthMs = routerHealthMs();
-    if (opts_.breakerFails <= 0)
-        opts_.breakerFails = breakerFails();
-    if (opts_.breakerCooldownMs <= 0)
-        opts_.breakerCooldownMs = breakerCooldownMs();
     ring_ = ShardRing(opts_.workers);
     // Worker slots must line up with ring indices, so build them
     // from the ring's canonicalized (sorted, deduped) address list.
@@ -69,8 +66,7 @@ Router::start(std::string *err)
             *err = "router needs at least one worker";
         return false;
     }
-    if (!listener_.start(opts_.address, opts_.backlog, opts_.maxConns,
-                         err))
+    if (!listener_.start(opts_.address, opts_.maxConns, err))
         return false;
     health_ = std::thread([this] { healthLoop(); });
     inform("cisa-router listening on %s (%zu workers, R=%d)",
@@ -147,7 +143,7 @@ void
 Router::returnConn(Worker &w, int fd)
 {
     std::lock_guard<std::mutex> lk(w.mu);
-    if (w.pool.size() < size_t(opts_.poolConns)) {
+    if (w.pool.size() < kPoolConns) {
         w.pool.push_back(fd);
         return;
     }
@@ -172,8 +168,7 @@ Router::exchange(size_t wi, const std::vector<uint8_t> &reqWire,
     if (fd >= 0) {
         if (attempt(fd)) {
             returnConn(w, fd);
-            w.up.store(true, std::memory_order_relaxed);
-            breakerSuccess(w);
+            markUp(w);
             return true;
         }
         ::close(fd);
@@ -185,77 +180,32 @@ Router::exchange(size_t wi, const std::vector<uint8_t> &reqWire,
             if (fd >= 0) {
                 if (attempt(fd)) {
                     returnConn(w, fd);
-                    w.up.store(true, std::memory_order_relaxed);
-                    breakerSuccess(w);
+                    markUp(w);
                     return true;
                 }
                 ::close(fd);
             }
         }
     }
-    if (w.up.exchange(false, std::memory_order_relaxed))
+    if (w.up.exchange(false, std::memory_order_relaxed)) {
+        downMarks_.fetch_add(1, std::memory_order_relaxed);
         warn("cisa-router: worker %s down (%s)", w.addr.c_str(),
              err.c_str());
-    breakerFailure(w);
-    return false;
-}
-
-bool
-Router::breakerAllow(Worker &w)
-{
-    int st = w.breaker.load(std::memory_order_relaxed);
-    if (st == 0)
-        return true;
-    if (st == 1 &&
-        steadyNowMs() >=
-            w.openUntilMs.load(std::memory_order_relaxed)) {
-        // Cooldown over: elect exactly one caller as the half-open
-        // probe; the losers keep treating the breaker as open.
-        int expect = 1;
-        if (w.breaker.compare_exchange_strong(
-                expect, 2, std::memory_order_relaxed)) {
-            breakerProbes_.fetch_add(1, std::memory_order_relaxed);
-            return true;
-        }
     }
     return false;
 }
 
 void
-Router::breakerSuccess(Worker &w)
+Router::markUp(Worker &w)
 {
-    w.consecFails.store(0, std::memory_order_relaxed);
-    int prev = w.breaker.exchange(0, std::memory_order_relaxed);
-    if (prev != 0) {
-        breakerRecoveries_.fetch_add(1, std::memory_order_relaxed);
-        inform("cisa-router: breaker for %s closed",
-               w.addr.c_str());
-    }
-}
-
-void
-Router::breakerFailure(Worker &w)
-{
-    int fails =
-        w.consecFails.fetch_add(1, std::memory_order_relaxed) + 1;
-    int st = w.breaker.load(std::memory_order_relaxed);
-    if (st == 2) {
-        // The half-open probe failed: straight back to open for
-        // another cooldown.
-        w.openUntilMs.store(steadyNowMs() + opts_.breakerCooldownMs,
-                            std::memory_order_relaxed);
-        w.breaker.store(1, std::memory_order_relaxed);
+    // The load keeps the common case (already up) free of a
+    // read-modify-write; the exchange makes each rejoin count once
+    // when a relay and the health thread race to it.
+    if (w.up.load(std::memory_order_relaxed) ||
+        w.up.exchange(true, std::memory_order_relaxed))
         return;
-    }
-    if (st == 0 && fails >= opts_.breakerFails) {
-        w.openUntilMs.store(steadyNowMs() + opts_.breakerCooldownMs,
-                            std::memory_order_relaxed);
-        w.breaker.store(1, std::memory_order_relaxed);
-        breakerTrips_.fetch_add(1, std::memory_order_relaxed);
-        warn("cisa-router: breaker for %s open (%d consecutive "
-             "failures)",
-             w.addr.c_str(), fails);
-    }
+    rejoins_.fetch_add(1, std::memory_order_relaxed);
+    inform("cisa-router: worker %s is back", w.addr.c_str());
 }
 
 void
@@ -298,16 +248,12 @@ Router::forward(const Request &req, uint32_t deadline_ms,
     size_t firstChoice = cand[0];
     bool sawBusy = false;
     std::vector<uint8_t> busyWire, budgetWire;
-    // Pass 0 trusts the up flags and the breakers; pass 1 retries
-    // flagged-down/tripped workers in case the flag is stale and
-    // nobody else answered (a breaker must never lose a request —
-    // it only reorders who gets asked first).
+    // Pass 0 trusts the up flags; pass 1 retries flagged-down
+    // workers in case the flag is stale and nobody else answered.
     for (int pass = 0; pass < 2; pass++) {
         for (size_t wi : cand) {
             bool up = workers_[wi]->up.load(std::memory_order_relaxed);
             if (pass == 0 ? !up : up)
-                continue;
-            if (pass == 0 && !breakerAllow(*workers_[wi]))
                 continue;
             // Deadline propagation: each attempt forwards only the
             // budget that remains after time already burned here; a
@@ -384,11 +330,8 @@ Router::healthLoop()
                     readFrameWire(fd, &resp, &kind, &err, true) ==
                         FrameRead::Ok &&
                     kind == FrameKind::Response) {
-                    w.up.store(true, std::memory_order_relaxed);
-                    breakerSuccess(w);
+                    markUp(w);
                     returnConn(w, fd);
-                    inform("cisa-router: worker %s is back",
-                           w.addr.c_str());
                 } else {
                     ::close(fd);
                 }
@@ -430,16 +373,10 @@ Router::fleetStats()
     for (auto &w : workers_) {
         if (w->up.load(std::memory_order_relaxed))
             out.workersUp++;
-        if (w->breaker.load(std::memory_order_relaxed) != 0)
-            out.breakerOpenNow++;
     }
     out.reroutes += reroutes_.load(std::memory_order_relaxed);
-    out.breakerTrips +=
-        breakerTrips_.load(std::memory_order_relaxed);
-    out.breakerProbes +=
-        breakerProbes_.load(std::memory_order_relaxed);
-    out.breakerRecoveries +=
-        breakerRecoveries_.load(std::memory_order_relaxed);
+    out.downMarks += downMarks_.load(std::memory_order_relaxed);
+    out.rejoins += rejoins_.load(std::memory_order_relaxed);
     out.deadlineShed +=
         deadlineShed_.load(std::memory_order_relaxed);
     if (opts_.statsAugment)

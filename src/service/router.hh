@@ -20,30 +20,23 @@
  * warm on R workers instead of melting one; keyless requests (Ping,
  * Search) go to their fingerprint's primary. Stats is answered by
  * the router itself with the fleet roll-up (every worker's snapshot
- * merged with the router's own connection, reroute, breaker and
- * health counters).
+ * merged with the router's own connection, reroute and health
+ * counters).
  *
- * Churn: a send or read failing on a pooled worker connection is
- * retried once on a fresh connection (the pooled fd may simply be
- * stale); if the fresh connect also fails the worker is marked down
- * and the request moves to the next replica — the response the
- * client sees is byte-identical to the single-daemon answer because
- * any worker can adopt any slab through the shared slab store
- * (PR 5) instead of diverging. Requests are deterministic and
- * idempotent, so re-sending after a mid-response death is safe. A
- * health thread re-probes down workers with a ping and marks them
- * up when they answer, so a restarted worker rejoins without a
- * router restart.
- *
- * Circuit breakers: on top of the boolean up flag each worker
- * carries a breaker (closed / open / half-open). breakerFails
- * consecutive exchange failures trip it open; after the cooldown one
- * request is elected as the half-open probe (everyone else keeps
- * skipping the worker), and its outcome closes or re-opens the
- * breaker. Gating applies only to the normal routing pass — the
- * desperation pass that runs when no other worker answered ignores
- * breakers, so a request is never lost to one. Health-ping success
- * also closes the breaker.
+ * Health: each worker has one state, its up flag. A send or read
+ * failing on a pooled worker connection is retried once on a fresh
+ * connection (the pooled fd may simply be stale); if the fresh
+ * connect also fails the worker is marked down and the request moves
+ * to the next replica — the response the client sees is
+ * byte-identical to the single-daemon answer because any worker can
+ * adopt any slab through the shared slab store instead of diverging.
+ * Requests are deterministic and idempotent, so re-sending after a
+ * mid-response death is safe. Routing asks up workers first and
+ * retries down ones only when no up worker answered, so a stale flag
+ * never loses a request. A successful exchange marks a worker up
+ * again, and a health thread re-probes down workers with a ping, so
+ * a restarted worker rejoins without a router restart. Down-marks
+ * and rejoins are counted in the fleet roll-up.
  *
  * Deadlines: the client's deadline budget is propagated, not
  * repeated — each relay attempt re-encodes the request envelope with
@@ -83,17 +76,9 @@ class Router
         std::string address;
         /** Worker daemon addresses (at least one). */
         std::vector<std::string> workers;
-        int replicas = 0;  ///< 0 = CISA_ROUTER_REPLICAS
-        int poolConns = 0; ///< 0 = CISA_ROUTER_POOL per worker
-        int healthMs = 0;  ///< 0 = CISA_ROUTER_HEALTH_MS
-        int backlog = 0;   ///< 0 = CISA_SERVE_BACKLOG
-        int maxConns = 0;  ///< 0 = CISA_SERVE_MAX_CONNS
-        /** Consecutive failures tripping a worker's breaker;
-         * 0 = CISA_BREAKER_FAILS. */
-        int breakerFails = 0;
-        /** Open-breaker cooldown before the half-open probe;
-         * 0 = CISA_BREAKER_COOLDOWN_MS. */
-        int breakerCooldownMs = 0;
+        int replicas = 0; ///< 0 = CISA_ROUTER_REPLICAS
+        int healthMs = 0; ///< 0 = CISA_ROUTER_HEALTH_MS
+        int maxConns = 0; ///< 0 = CISA_SERVE_MAX_CONNS
         /** Called on every fleetStats() roll-up so an embedding
          * process (cisa_fleetd) can graft its own counters —
          * supervisor restarts, crash loops — into the snapshot. */
@@ -129,12 +114,6 @@ class Router
         std::mutex mu;
         std::vector<int> pool; ///< idle connections
         std::atomic<bool> up{true};
-        /** Consecutive exchange failures since the last success. */
-        std::atomic<int> consecFails{0};
-        /** 0 = closed, 1 = open, 2 = half-open (probe in flight). */
-        std::atomic<int> breaker{0};
-        /** When an open breaker may admit its probe (steady ms). */
-        std::atomic<int64_t> openUntilMs{0};
     };
 
     /** The listener's answer: the fleet roll-up for Stats, a relay
@@ -151,7 +130,7 @@ class Router
      * @p reqWire, read the response wire image into @p respWire.
      * Retries once on a fresh connection if a pooled one fails;
      * marks the worker down (and returns false) when even a fresh
-     * connection can't complete the exchange.
+     * connection can't complete the exchange, up when it completes.
      */
     bool exchange(size_t wi, const std::vector<uint8_t> &reqWire,
                   std::vector<uint8_t> *respWire);
@@ -163,12 +142,8 @@ class Router
                  const std::vector<uint8_t> &reqWire,
                  std::vector<uint8_t> *respWire);
 
-    /** May a normal-pass request try worker @p w right now? Closed:
-     * yes. Open past cooldown: the one caller that wins the CAS to
-     * half-open becomes the probe. Otherwise no. */
-    bool breakerAllow(Worker &w);
-    void breakerSuccess(Worker &w);
-    void breakerFailure(Worker &w);
+    /** Set @p w's up flag, counting a rejoin if it was down. */
+    void markUp(Worker &w);
 
     void healthLoop();
 
@@ -185,9 +160,8 @@ class Router
     ServiceMetrics metrics_;
     std::atomic<uint64_t> rr_{0}; ///< replica rotation counter
     std::atomic<uint64_t> reroutes_{0};
-    std::atomic<uint64_t> breakerTrips_{0};
-    std::atomic<uint64_t> breakerProbes_{0};
-    std::atomic<uint64_t> breakerRecoveries_{0};
+    std::atomic<uint64_t> downMarks_{0};
+    std::atomic<uint64_t> rejoins_{0};
     std::atomic<uint64_t> deadlineShed_{0};
 
     std::thread health_;

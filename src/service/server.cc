@@ -24,8 +24,7 @@ Server::~Server()
 bool
 Server::start(std::string *err)
 {
-    if (!listener_.start(opts_.address, opts_.backlog, opts_.maxConns,
-                         err))
+    if (!listener_.start(opts_.address, opts_.maxConns, err))
         return false;
     inform("cisa-serve listening on %s", boundAddress().c_str());
     return true;
@@ -91,7 +90,7 @@ Server::answer(int fd, const Request &req, uint32_t deadline_ms,
     // Wire-cache fast path: answer a repeat cacheable request with
     // the previously encoded response frame, skipping the executor
     // round-trip and the checksum pass. Bypassed while draining so
-    // shutdown-time submissions still see BUSY.
+    // shutdown-time hits are marked stale and misses see BUSY.
     uint64_t key = 0;
     bool mayCache =
         req.cacheable() && wireCap_ > 0 && !exec_->draining();

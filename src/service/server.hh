@@ -19,12 +19,14 @@
  * slab payload, which is where a cached-slab request spends most of
  * its CPU. Fingerprints are exact (canonical request bytes),
  * responses are deterministic, and the cache is bypassed while
- * draining so shutdown still answers BUSY.
+ * draining, so a drain-time hit comes back from the executor marked
+ * stale and a miss gets BUSY.
  *
  * Shutdown: stop() (or requestStop() from a signal handler) stops
  * accepting, lets the executor drain queued and running work (new
- * requests meanwhile get BUSY), then closes client connections. In-
- * flight responses are delivered before their connections close.
+ * requests meanwhile get BUSY, or a cached answer marked stale),
+ * then closes client connections. In-flight responses are delivered
+ * before their connections close.
  */
 
 #ifndef CISA_SERVICE_SERVER_HH
@@ -52,7 +54,6 @@ class Server
          * empty = CISA_SERVE_SOCKET. TCP "host:0" binds a
          * kernel-assigned port, reported by boundAddress(). */
         std::string address;
-        int backlog = 0;  ///< 0 = CISA_SERVE_BACKLOG
         int maxConns = 0; ///< 0 = CISA_SERVE_MAX_CONNS
         Executor::Options exec;
     };

@@ -4,13 +4,15 @@
  * (src/common/faultinject.hh): spec parsing (including every
  * rejection path leaving the previous config untouched), seeded
  * determinism of the firing schedule, nth/count/short semantics,
- * errno injection, counter snapshots, and the disarm guarantee that
- * an unarmed plane never fires.
+ * errno injection, counter snapshots, the disarm guarantee that an
+ * unarmed plane never fires, and strict parsing of CISA_FAULTS_SEED
+ * when the plane arms from the environment.
  */
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -214,6 +216,30 @@ TEST_F(FaultInject, DelaySiteFiresWithoutFailing)
     ASSERT_EQ(snaps.size(), 1u);
     EXPECT_EQ(snaps[0].site, "exec.delay");
     EXPECT_EQ(snaps[0].fired, 1u);
+}
+
+TEST(FaultInjectEnv, MalformedSeedWarnsAndUsesTheDefaultSeed)
+{
+    // The plane arms from CISA_FAULTS during static initialization,
+    // so the check runs in a re-executed copy of this binary (a
+    // threadsafe-style death test) whose environment carries a
+    // malformed CISA_FAULTS_SEED. Nothing here may configure the
+    // plane before the statement: the copy re-runs this body.
+    const char *spec = "net.read:p=0.3";
+    ASSERT_EQ(::setenv("CISA_FAULTS", spec, 1), 0);
+    ASSERT_EQ(::setenv("CISA_FAULTS_SEED", "abc", 1), 0);
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            std::string armed = firePattern(FaultSite::NetRead, 200);
+            faultConfigure(spec, 1);
+            bool seedOne = firePattern(FaultSite::NetRead, 200) == armed;
+            std::exit(seedOne ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "CISA_FAULTS_SEED=\"abc\" is not an integer; using default 1");
+    ::unsetenv("CISA_FAULTS");
+    ::unsetenv("CISA_FAULTS_SEED");
 }
 
 } // namespace

@@ -130,9 +130,10 @@ TEST(Opcodes, Microx86LegalityIsOneToOne)
         Op op = Op(o);
         for (int fm = 0; fm < 5; fm++) {
             MemForm f = MemForm(fm);
-            if (microx86Legal(op, f))
+            if (microx86Legal(op, f)) {
                 EXPECT_EQ(uopExpansion(op, f), 1)
                     << opName(op) << " form " << fm;
+            }
         }
     }
 }

@@ -80,10 +80,12 @@ TEST_P(DowngradeEquiv, SemanticsPreserved)
     for (const auto &f : down.funcs) {
         for (const auto &b : f.blocks) {
             for (const auto &i : b.instrs) {
-                if (core.complexity == Complexity::MicroX86)
+                if (core.complexity == Complexity::MicroX86) {
                     EXPECT_EQ(i.uops, 1) << i.str();
-                if (!core.fullPredication())
+                }
+                if (!core.fullPredication()) {
                     EXPECT_LT(i.predReg, 0) << i.str();
+                }
                 if (!i.fp) {
                     EXPECT_LT(i.dst, core.regDepth) << i.str();
                     EXPECT_LT(i.src1, core.regDepth) << i.str();

@@ -68,8 +68,9 @@ TEST(Regalloc, SpillsGrowAsDepthShrinks)
         MachineProgram prog = compile(m, opts);
         uint64_t spills =
             prog.stats.spillStores + prog.stats.spillLoads;
-        if (!first)
+        if (!first) {
             EXPECT_GE(spills, prev_spills) << "depth " << depth;
+        }
         first = false;
         prev_spills = spills;
     }

@@ -44,8 +44,9 @@ TEST_P(CodeProps, StructuralInvariants)
                 code_end = i.addr;
                 // Micro-op expansion legality.
                 EXPECT_GE(int(i.uops), 1);
-                if (fs.complexity == Complexity::MicroX86)
+                if (fs.complexity == Complexity::MicroX86) {
                     EXPECT_EQ(int(i.uops), 1) << i.str();
+                }
                 // Register bounds.
                 if (!i.fp) {
                     EXPECT_LT(i.dst, int(fs.regDepth));
@@ -55,14 +56,17 @@ TEST_P(CodeProps, StructuralInvariants)
                 EXPECT_LT(i.mem.base, int(fs.regDepth));
                 EXPECT_LT(i.mem.index, int(fs.regDepth));
                 // Predication only on fully-predicated targets.
-                if (!fs.fullPredication())
+                if (!fs.fullPredication()) {
                     EXPECT_LT(i.predReg, 0);
+                }
                 // SIMD only with SSE.
-                if (!fs.simd())
+                if (!fs.simd()) {
                     EXPECT_FALSE(isSimdOp(i.op)) << i.str();
+                }
                 // 32-bit targets never emit 64-bit integer ops.
-                if (fs.width == RegWidth::W32 && !i.fp)
+                if (fs.width == RegWidth::W32 && !i.fp) {
                     EXPECT_EQ(int(i.opBits), 32) << i.str();
+                }
             }
         }
     }
@@ -110,8 +114,9 @@ TEST_P(UarchProps, SimulationInvariants)
     EXPECT_GE(r.stats.l1iAccesses, r.stats.l1iMisses);
     // Branch accounting.
     EXPECT_GE(r.stats.bpLookups, r.stats.bpMispredicts);
-    if (!ua.uopCache)
+    if (!ua.uopCache) {
         EXPECT_EQ(r.stats.uopCacheLookups, 0u);
+    }
     if (!ua.outOfOrder) {
         EXPECT_EQ(r.stats.renamedUops, 0u);
         EXPECT_EQ(r.stats.iqWrites, 0u);

@@ -425,7 +425,7 @@ TEST(StatsCodec, RoundTrips)
             scalars++;
         },
         in);
-    EXPECT_EQ(scalars, 31u);
+    EXPECT_EQ(scalars, 29u);
     in.faults = {{"net.read", 1001, 7}, {"disk.fsync", 1002, 8}};
 
     ByteWriter w;
@@ -468,7 +468,7 @@ TEST(StatsCodec, EveryTruncationRejected)
     StatsSnap in;
     in.ep[size_t(ReqType::Slab)].requests = 17;
     in.ep[size_t(ReqType::Slab)].lat[5] = 3;
-    in.breakerTrips = 2;
+    in.downMarks = 2;
     in.faults = {{"net.read", 40, 2}, {"net.accept", 9, 1}};
     ByteWriter w;
     in.encode(w);
@@ -715,7 +715,6 @@ TEST(Executor, StaleServesCachedAnswerWhileDraining)
     opts.queueBound = 4;
     opts.workers = 1;
     opts.cacheEntries = 8;
-    opts.staleServe = 1;
     opts.handler = [&](const Request &, CancelToken &) {
         runs++;
         Response r;
@@ -743,27 +742,6 @@ TEST(Executor, StaleServesCachedAnswerWhileDraining)
     EXPECT_EQ(s.ep[size_t(ReqType::Slab)].cacheHits, 1u);
 }
 
-TEST(Executor, StaleServeDisabledRestoresStrictDrain)
-{
-    Executor::Options opts;
-    opts.queueBound = 4;
-    opts.workers = 1;
-    opts.cacheEntries = 8;
-    opts.staleServe = 0;
-    opts.handler = [&](const Request &, CancelToken &) {
-        Response r;
-        r.body = {7};
-        return r;
-    };
-    Executor exec(opts);
-
-    EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Ok);
-    exec.drain();
-    // Strict mode: draining answers BUSY even on a cache hit.
-    EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Busy);
-    EXPECT_EQ(exec.snapshot().ep[size_t(ReqType::Slab)].stale, 0u);
-}
-
 TEST(Executor, StaleServesCachedAnswerWhenQueueIsFull)
 {
     GatedHandler gate;
@@ -771,7 +749,6 @@ TEST(Executor, StaleServesCachedAnswerWhenQueueIsFull)
     opts.queueBound = 1;
     opts.workers = 1;
     opts.cacheEntries = 8;
-    opts.staleServe = 1;
     opts.handler = std::ref(gate);
     Executor exec(opts);
 
@@ -1678,6 +1655,10 @@ TEST(RouterE2E, DeadWorkersSlabsFailOverByteIdentical)
         << c.lastError();
     EXPECT_EQ(a2.status, Status::Ok);
     EXPECT_EQ(a2.body, a1.body);
+    StatsSnap snap;
+    ASSERT_EQ(c.stats(&snap), Status::Ok);
+    EXPECT_EQ(snap.downMarks, 1u); // the failed exchange, once
+    EXPECT_EQ(snap.rejoins, 0u);
 
     // Zero loss across a spread of slabs with one worker down.
     for (int s = 0; s < 8; s++) {
@@ -1687,21 +1668,25 @@ TEST(RouterE2E, DeadWorkersSlabsFailOverByteIdentical)
         EXPECT_EQ(r.status, Status::Ok) << "slab " << s;
     }
 
-    StatsSnap snap;
     ASSERT_EQ(c.stats(&snap), Status::Ok);
     EXPECT_GE(snap.reroutes, 1u);
     EXPECT_EQ(snap.workersUp, 1u);
     EXPECT_EQ(snap.workersKnown, 2u);
+    EXPECT_EQ(snap.downMarks, 1u); // pass 0 skips a down worker
 
     // A worker coming back on the same address rejoins after a
-    // health probe, without a router restart.
+    // health probe, without a router restart. The rejoin is counted
+    // just after the up flag flips, so wait for both.
     w1 = std::make_unique<Server>(w1o);
     ASSERT_TRUE(w1->start(&err)) << err;
-    for (int i = 0; i < 200 && snap.workersUp != 2; i++) {
+    for (int i = 0;
+         i < 200 && (snap.workersUp != 2 || snap.rejoins == 0); i++) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         ASSERT_EQ(c.stats(&snap), Status::Ok);
     }
     EXPECT_EQ(snap.workersUp, 2u);
+    EXPECT_EQ(snap.rejoins, 1u);
+    EXPECT_EQ(snap.downMarks, 1u);
 
     c.close();
     router.stop();

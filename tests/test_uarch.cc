@@ -225,10 +225,12 @@ TEST(UConfig, IdRoundTrip)
 TEST(UConfig, PruningRules)
 {
     for (const auto &c : MicroArchConfig::enumerate()) {
-        if (c.width == 4)
+        if (c.width == 4) {
             EXPECT_GE(c.intAlus, 6); // no starved wide cores
-        if (c.width == 1)
+        }
+        if (c.width == 1) {
             EXPECT_EQ(c.lsqSize, 16);
+        }
         if (!c.outOfOrder) {
             EXPECT_EQ(c.intPrf, 64); // architectural file only
             EXPECT_EQ(c.fpPrf, 16);

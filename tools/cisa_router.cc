@@ -8,8 +8,8 @@
  *
  * Usage:
  *   cisa_router --worker ADDR [--worker ADDR ...]
- *               [--address ADDR] [--replicas N] [--pool N]
- *               [--health-ms N] [--print-address FILE]
+ *               [--address ADDR] [--replicas N] [--health-ms N]
+ *               [--print-address FILE]
  *
  * Flags default to the CISA_ROUTER_* / CISA_SERVE_* environment
  * knobs (src/common/env.hh); flags win over the environment. On
@@ -49,8 +49,6 @@ usage(const char *argv0)
         "(CISA_SERVE_SOCKET)\n"
         "  --replicas N          replica set size per key "
         "(CISA_ROUTER_REPLICAS)\n"
-        "  --pool N              pooled conns per worker "
-        "(CISA_ROUTER_POOL)\n"
         "  --health-ms N         down-worker re-probe period "
         "(CISA_ROUTER_HEALTH_MS)\n"
         "  --print-address FILE  write the bound address to FILE\n",
@@ -78,8 +76,6 @@ main(int argc, char **argv)
             opts.address = val();
         } else if (!std::strcmp(argv[i], "--replicas")) {
             opts.replicas = std::atoi(val());
-        } else if (!std::strcmp(argv[i], "--pool")) {
-            opts.poolConns = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--health-ms")) {
             opts.healthMs = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--print-address")) {
