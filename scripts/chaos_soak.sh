@@ -105,7 +105,7 @@ fleetd_pid=$!
 pids="$pids $fleetd_pid"
 rt="$(wait_addr "$tmp/rt")"
 
-# Warm the caches (executor + wire) so the stale drill's drain
+# Warm the workers' response caches so the stale drill's drain
 # windows have something cached to serve. No evals here or in the
 # main mix: a cold eval computes a whole slab (seconds), which would
 # stall the closed-loop connections and starve the drill windows.

@@ -98,8 +98,9 @@ int serveQueueBound();
  * fans its own work out over the CISA_THREADS pool). */
 int serveWorkers();
 
-/** Completed-response cache entries kept by the service (0 turns the
- * cache off; coalescing of in-flight duplicates is always on). */
+/** Encoded response frames the daemon's response cache keeps (0
+ * turns the cache off; coalescing of in-flight duplicates is always
+ * on). */
 int serveCacheEntries();
 
 /** Bound on simultaneously-served connections; an accept beyond it

@@ -38,9 +38,7 @@ class Executor::Job
 Executor::Executor(const Options &opts)
     : handler_(opts.handler),
       bound_(opts.queueBound > 0 ? size_t(opts.queueBound)
-                                 : size_t(serveQueueBound())),
-      cacheCap_(opts.cacheEntries >= 0 ? size_t(opts.cacheEntries)
-                                       : size_t(serveCacheEntries()))
+                                 : size_t(serveQueueBound()))
 {
     int n = opts.workers > 0 ? opts.workers : serveWorkers();
     workers_.reserve(size_t(n));
@@ -88,9 +86,8 @@ Executor::snapshot() const
     return s;
 }
 
-Executor::Admit
-Executor::submit(const Request &req, uint32_t deadline_ms,
-                 JobPtr *job, Response *cached)
+Executor::JobPtr
+Executor::submit(const Request &req, uint32_t deadline_ms)
 {
     EndpointMetrics &m = metrics_.at(req.type);
     m.requests.fetch_add(1, std::memory_order_relaxed);
@@ -99,29 +96,9 @@ Executor::submit(const Request &req, uint32_t deadline_ms,
     Clock::time_point now = Clock::now();
 
     std::unique_lock<std::mutex> lk(mu_);
-
-    // Degraded-mode serving: when the executor cannot take fresh
-    // work (draining, or the queue is at bound), a cacheable request
-    // whose answer sits in the LRU is served from it with the stale
-    // flag set instead of BUSY. The body is still exact — responses
-    // are deterministic — the flag marks the serving mode, not the
-    // content.
-    if (req.cacheable()) {
-        auto it = cacheIdx_.find(key);
-        if (it != cacheIdx_.end()) {
-            cache_.splice(cache_.begin(), cache_, it->second);
-            *cached = it->second->second;
-            cached->stale = draining_ || queue_.size() >= bound_;
-            m.cacheHits.fetch_add(1, std::memory_order_relaxed);
-            if (cached->stale)
-                m.stale.fetch_add(1, std::memory_order_relaxed);
-            return Admit::CacheHit;
-        }
-    }
-
     if (draining_) {
         m.busy.fetch_add(1, std::memory_order_relaxed);
-        return Admit::Busy;
+        return nullptr;
     }
 
     // Coalesce with a queued or running twin: same key, same
@@ -135,13 +112,12 @@ Executor::submit(const Request &req, uint32_t deadline_ms,
                 now + std::chrono::milliseconds(deadline_ms));
         }
         m.coalesced.fetch_add(1, std::memory_order_relaxed);
-        *job = std::move(j);
-        return Admit::Accepted;
+        return j;
     }
 
     if (queue_.size() >= bound_) {
         m.busy.fetch_add(1, std::memory_order_relaxed);
-        return Admit::Busy;
+        return nullptr;
     }
 
     JobPtr j = std::make_shared<Job>(req, key);
@@ -156,13 +132,17 @@ Executor::submit(const Request &req, uint32_t deadline_ms,
     metrics_.observeQueueDepth(queue_.size());
     lk.unlock();
     queueCv_.notify_one();
-    *job = std::move(j);
-    return Admit::Accepted;
+    return j;
 }
 
 Response
 Executor::wait(const JobPtr &job, uint32_t deadline_ms)
 {
+    if (!job) {
+        return Response::fail(Status::Busy,
+                              draining() ? "server draining"
+                                         : "queue full");
+    }
     EndpointMetrics &m = metrics_.at(job->req.type);
     // This waiter's own budget counts from now (an attach via
     // coalescing starts later than the job's original submit).
@@ -229,19 +209,7 @@ Executor::call(const Request &req, uint32_t deadline_ms)
         return resp;
     }
 
-    JobPtr job;
-    Response cached;
-    switch (submit(req, deadline_ms, &job, &cached)) {
-      case Admit::CacheHit:
-        return cached;
-      case Admit::Busy:
-        return Response::fail(Status::Busy,
-                              draining() ? "server draining"
-                                         : "queue full");
-      case Admit::Accepted:
-        break;
-    }
-    return wait(job, deadline_ms);
+    return wait(submit(req, deadline_ms), deadline_ms);
 }
 
 void
@@ -269,15 +237,6 @@ Executor::finishJob(const JobPtr &job, Response &&resp)
     job->resp = std::move(resp);
     job->done = true;
     inflight_.erase(job->key);
-    if (job->resp.status == Status::Ok && job->req.cacheable() &&
-        cacheCap_ > 0) {
-        cache_.emplace_front(job->key, job->resp);
-        cacheIdx_[job->key] = cache_.begin();
-        while (cache_.size() > cacheCap_) {
-            cacheIdx_.erase(cache_.back().first);
-            cache_.pop_back();
-        }
-    }
     lk.unlock();
     doneCv_.notify_all();
 }
@@ -320,8 +279,7 @@ Executor::workerLoop()
             if (faultArmed())
                 faultPoint(FaultSite::ExecDelay);
             try {
-                resp = handler_ ? handler_(job->req, job->token)
-                                : runHandler(job->req, job->token);
+                resp = handler_(job->req, job->token);
             } catch (const Cancelled &) {
                 resp = Response::fail(job->waiters == 0
                                           ? Status::CancelledByPeer
@@ -382,7 +340,7 @@ renderSlabTable(int slab, const std::vector<PhasePerf> &cells)
 } // namespace
 
 Response
-Executor::runHandler(const Request &req, CancelToken &token)
+Executor::dispatch(const Request &req, CancelToken &token)
 {
     Response resp;
     ByteWriter w;

@@ -2,9 +2,10 @@
  * @file
  * The batching request executor behind cisa-serve: a bounded
  * priority queue drained by a small set of dispatcher threads, with
- * in-flight request coalescing, a bounded completed-response cache,
- * per-waiter deadlines with cooperative cancellation, and graceful
- * drain-on-shutdown.
+ * in-flight request coalescing, per-waiter deadlines with
+ * cooperative cancellation, and graceful drain-on-shutdown.
+ * Completed responses are cached one layer up, as encoded frames in
+ * the server (src/service/server.hh).
  *
  * Layering: each dispatcher runs one request at a time; the request
  * handler itself fans out over the process-wide CISA_THREADS pool
@@ -16,9 +17,7 @@
  * fingerprint (src/service/request.hh). A submit whose key matches a
  * queued or running job *attaches* to it instead of enqueueing
  * (coalescing — the computation runs once, every waiter gets the
- * same Response); a key matching a completed cached response returns
- * it immediately. Both paths are exact: equal keys mean equal
- * canonical request bytes.
+ * same Response). Equal keys mean equal canonical request bytes.
  *
  * Backpressure: at most `queueBound` jobs may be queued (running
  * jobs and attached waiters don't count — they consume no queue
@@ -35,10 +34,6 @@
  * Drain: drain() stops admission (submits return Busy), lets queued
  * and running jobs finish, and joins the dispatchers. Used by the
  * server's SIGTERM path.
- *
- * Degraded mode: while draining or with the queue at its bound, a
- * cacheable request whose answer is cached is still served, with the
- * response's stale bit set instead of Busy (see submit()).
  */
 
 #ifndef CISA_SERVICE_EXECUTOR_HH
@@ -47,7 +42,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,19 +61,21 @@ class Executor
   public:
     /**
      * Request handler: computes the Response for one request,
-     * polling @p token at its own pace. The default (null) handler
-     * dispatches to the campaign/search/table library code; tests
-     * inject synthetic handlers to probe queueing behaviour.
+     * polling @p token at its own pace. The default is dispatch();
+     * tests inject synthetic handlers to probe queueing behaviour,
+     * and the server wraps the handler to cache what it computes.
      */
     using Handler =
         std::function<Response(const Request &, CancelToken &)>;
 
+    /** The default handler: the campaign/search/table library code. */
+    static Response dispatch(const Request &req, CancelToken &token);
+
     struct Options
     {
-        int queueBound = 0;   ///< 0 = CISA_SERVE_QUEUE
-        int workers = 0;      ///< 0 = CISA_SERVE_WORKERS
-        int cacheEntries = -1; ///< -1 = CISA_SERVE_CACHE
-        Handler handler;      ///< null = built-in dispatch
+        int queueBound = 0;         ///< 0 = CISA_SERVE_QUEUE
+        int workers = 0;            ///< 0 = CISA_SERVE_WORKERS
+        Handler handler = dispatch;
     };
 
     Executor() : Executor(Options()) {}
@@ -92,35 +88,27 @@ class Executor
     class Job;
     using JobPtr = std::shared_ptr<Job>;
 
-    enum class Admit
-    {
-        Accepted, ///< queued or coalesced; wait() for the response
-        CacheHit, ///< *cached filled in, nothing queued
-        Busy      ///< queue at bound, or draining
-    };
-
     /**
      * Admit one request. @p deadline_ms (0 = none) is this waiter's
-     * budget, counted from now. On Accepted, @p job receives the
-     * (possibly shared) job to wait() on.
+     * budget, counted from now. Returns the (possibly shared) job to
+     * wait() on, or null for Busy: queue at bound, or draining.
      */
-    Admit submit(const Request &req, uint32_t deadline_ms,
-                 JobPtr *job, Response *cached);
+    JobPtr submit(const Request &req, uint32_t deadline_ms);
 
     /**
-     * Block until @p job completes or this waiter's deadline passes.
-     * Each accepted submit must be waited exactly once (wait
-     * balances the waiter count submit registered).
+     * Block until @p job completes or this waiter's deadline passes;
+     * a null @p job (a Busy submit) gets a BUSY response. Each
+     * accepted submit must be waited exactly once (wait balances the
+     * waiter count submit registered).
      */
     Response wait(const JobPtr &job, uint32_t deadline_ms);
 
-    /** submit + wait, mapping Busy to a BUSY response. Stats
-     * requests are answered inline and never queued. */
+    /** submit + wait. Stats requests are answered inline and never
+     * queued. */
     Response call(const Request &req, uint32_t deadline_ms = 0);
 
     /** Stop admission and finish queued + running work. Idempotent;
-     * afterwards every submit returns Busy, except a cache hit,
-     * which is served stale. */
+     * afterwards every submit returns Busy. */
     void drain();
 
     bool draining() const;
@@ -130,10 +118,6 @@ class Executor
     size_t queueDepth() const;
 
     size_t queueBound() const { return bound_; }
-
-    /** Resolved response-cache capacity (0 = caching off); the
-     * server sizes its wire cache from it. */
-    size_t cacheCapacity() const { return cacheCap_; }
 
     ServiceMetrics &metrics() { return metrics_; }
 
@@ -145,11 +129,9 @@ class Executor
 
     void workerLoop();
     void finishJob(const JobPtr &job, Response &&resp);
-    Response runHandler(const Request &req, CancelToken &token);
 
     Handler handler_;
     size_t bound_;
-    size_t cacheCap_;
     ServiceMetrics metrics_;
 
     mutable std::mutex mu_;
@@ -161,19 +143,13 @@ class Executor
     std::map<std::pair<int, uint64_t>, JobPtr> queue_;
     /** Queued or running jobs by fingerprint (coalescing index). */
     std::unordered_map<uint64_t, JobPtr> inflight_;
-    /** Completed Ok responses, most recent first (bounded LRU). */
-    std::list<std::pair<uint64_t, Response>> cache_;
-    std::unordered_map<
-        uint64_t,
-        std::list<std::pair<uint64_t, Response>>::iterator>
-        cacheIdx_;
 
     std::vector<std::thread> workers_;
     uint64_t seq_ = 0;
     size_t running_ = 0;
-    /** Atomic so the server's wire-cache fast path can check it
-     * without taking the queue mutex (writes still happen under
-     * mu_, which orders them with the queue state). */
+    /** Atomic so the server's cache-hit path can check it without
+     * taking the queue mutex (writes still happen under mu_, which
+     * orders them with the queue state). */
     std::atomic<bool> draining_{false};
 };
 

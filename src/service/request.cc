@@ -105,10 +105,15 @@ Request::decode(ByteReader &r, Request *out, std::string *err)
             return reject(err, "truncated eval request");
         if (e.vendor > uint8_t(VendorIsa::Composite))
             return reject(err, strfmt("bad vendor %u", e.vendor));
-        if (e.vendor == uint8_t(VendorIsa::Composite) &&
-            (e.isaId < 0 || e.isaId >= FeatureSet::count())) {
+        // A vendor point's isa id is its vendor's feature set: any
+        // other value would name the same point under another key.
+        bool isaOk =
+            e.vendor == uint8_t(VendorIsa::Composite)
+                ? e.isaId >= 0 && e.isaId < FeatureSet::count()
+                : e.isaId == VendorModel::vendor(VendorIsa(e.vendor))
+                                 .features.id();
+        if (!isaOk)
             return reject(err, strfmt("bad isa id %d", e.isaId));
-        }
         if (e.uarchId < 0 || e.uarchId >= DesignPoint::kUarchCount)
             return reject(err, strfmt("bad uarch id %d", e.uarchId));
         if (e.phase < 0 || e.phase >= phaseCount())

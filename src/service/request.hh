@@ -7,10 +7,10 @@
  * a slab table, read server stats — is a Request with a canonical
  * binary encoding. The encoding doubles as the identity of the
  * request: fingerprint() hashes the canonical bytes (FNV-1a,
- * src/common/hash.hh), and the executor coalesces concurrent
- * requests and caches completed responses by that 64-bit key, so two
- * requests are deduplicated exactly when they would compute the same
- * answer.
+ * src/common/hash.hh), the executor coalesces concurrent requests
+ * and the server caches completed responses by that 64-bit key, so
+ * two requests are deduplicated exactly when they would compute the
+ * same answer.
  *
  * Responses carry a Status plus a type-specific body; the typed
  * encode/decode helpers below are shared by the server, the client
@@ -146,12 +146,12 @@ struct Response
 {
     Status status = Status::Ok;
     /**
-     * Degraded-mode marker: the answer was served from the response
-     * LRU while the executor could not compute it fresh (draining or
-     * queue at bound). The body is still exact — responses are
-     * deterministic — so "stale" flags the serving mode, not the
-     * content. Rides in bit 7 of the wire status byte, leaving the
-     * body bytes identical to a fresh answer.
+     * Degraded-mode marker: the answer was served from the daemon's
+     * response cache while its executor drained. The body is still
+     * exact — responses are deterministic — so "stale" flags the
+     * serving mode, not the content. Rides in bit 7 of the wire
+     * status byte, leaving the body bytes identical to a fresh
+     * answer.
      */
     bool stale = false;
     std::string message;       ///< diagnostic for non-Ok statuses

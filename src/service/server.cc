@@ -1,5 +1,6 @@
 #include "service/server.hh"
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "service/frame.hh"
 
@@ -7,8 +8,10 @@ namespace cisa
 {
 
 Server::Server(const Options &opts)
-    : opts_(opts), exec_(std::make_unique<Executor>(opts.exec)),
-      wireCap_(exec_->cacheCapacity()),
+    : opts_(opts),
+      wireCap_(opts.cacheEntries >= 0 ? size_t(opts.cacheEntries)
+                                      : size_t(serveCacheEntries())),
+      exec_(std::make_unique<Executor>(cachingOptions(opts.exec))),
       listener_("cisa-serve", exec_->metrics(),
                 [this](int fd, const Request &req, uint32_t deadline_ms,
                        const std::vector<uint8_t> &reqWire) {
@@ -50,10 +53,30 @@ Server::stop()
     inform("cisa-serve stopped (%s)", boundAddress().c_str());
 }
 
+Executor::Options
+Server::cachingOptions(Executor::Options eo)
+{
+    // Runs on a dispatcher before the executor retires the job, so
+    // the frame is cached while twins can still coalesce with it.
+    eo.handler = [this, compute = std::move(eo.handler)](
+                     const Request &req, CancelToken &token) {
+        Response resp = compute(req, token);
+        if (resp.status == Status::Ok && req.cacheable() &&
+            wireCap_ > 0) {
+            ByteWriter w;
+            resp.encode(w);
+            cacheWire(req.fingerprint(),
+                      std::make_shared<const std::vector<uint8_t>>(
+                          encodeFrame(FrameKind::Response, w.take())));
+        }
+        return resp;
+    };
+    return eo;
+}
+
 std::shared_ptr<const std::vector<uint8_t>>
 Server::cachedWire(uint64_t key)
 {
-    std::lock_guard<std::mutex> lk(wireMu_);
     auto it = wireIdx_.find(key);
     if (it == wireIdx_.end())
         return nullptr;
@@ -67,8 +90,8 @@ Server::cacheWire(uint64_t key, WirePtr wire)
     std::lock_guard<std::mutex> lk(wireMu_);
     auto it = wireIdx_.find(key);
     if (it != wireIdx_.end()) {
-        // A concurrent miss already filled it (same bytes — the
-        // fingerprint is exact and responses are deterministic).
+        // Already cached: the same bytes (the fingerprint is exact
+        // and responses are deterministic).
         wire_.splice(wire_.begin(), wire_, it->second);
         return;
     }
@@ -86,35 +109,52 @@ Server::answer(int fd, const Request &req, uint32_t deadline_ms,
 {
     EndpointMetrics &m = exec_->metrics().at(req.type);
     m.bytesIn.fetch_add(reqWire.size(), std::memory_order_relaxed);
+    if (!req.cacheable() || wireCap_ == 0)
+        return reply(fd, m, exec_->call(req, deadline_ms));
 
-    // Wire-cache fast path: answer a repeat cacheable request with
-    // the previously encoded response frame, skipping the executor
-    // round-trip and the checksum pass. Bypassed while draining so
-    // shutdown-time hits are marked stale and misses see BUSY.
-    uint64_t key = 0;
-    bool mayCache =
-        req.cacheable() && wireCap_ > 0 && !exec_->draining();
-    if (mayCache) {
-        key = req.fingerprint();
-        if (WirePtr hit = cachedWire(key)) {
-            m.requests.fetch_add(1, std::memory_order_relaxed);
-            m.ok.fetch_add(1, std::memory_order_relaxed);
-            m.cacheHits.fetch_add(1, std::memory_order_relaxed);
-            m.bytesOut.fetch_add(hit->size(),
-                                 std::memory_order_relaxed);
-            return writeWire(fd, *hit);
-        }
+    // Look up and submit under one lock (see the file comment).
+    uint64_t key = req.fingerprint();
+    WirePtr hit;
+    Executor::JobPtr job;
+    {
+        std::lock_guard<std::mutex> lk(wireMu_);
+        hit = cachedWire(key);
+        if (!hit)
+            job = exec_->submit(req, deadline_ms);
     }
+    if (!hit)
+        return reply(fd, m, exec_->wait(job, deadline_ms));
 
-    Response resp = exec_->call(req, deadline_ms);
+    // A hit is answered with the previously encoded response frame,
+    // skipping the executor round-trip and the checksum pass.
+    m.requests.fetch_add(1, std::memory_order_relaxed);
+    m.ok.fetch_add(1, std::memory_order_relaxed);
+    m.cacheHits.fetch_add(1, std::memory_order_relaxed);
+    if (exec_->draining()) {
+        // Served while draining: the same body, marked stale in the
+        // status byte, so the frame is built anew.
+        Response resp;
+        ByteReader r(hit->data() + kFrameHeaderBytes,
+                     hit->size() - kFrameHeaderBytes);
+        panic_if(!Response::decode(r, &resp),
+                 "undecodable cached response");
+        resp.stale = true;
+        m.stale.fetch_add(1, std::memory_order_relaxed);
+        return reply(fd, m, resp);
+    }
+    m.bytesOut.fetch_add(hit->size(), std::memory_order_relaxed);
+    return writeWire(fd, *hit);
+}
+
+bool
+Server::reply(int fd, EndpointMetrics &m, const Response &resp)
+{
     ByteWriter w;
     resp.encode(w);
-    auto out = std::make_shared<const std::vector<uint8_t>>(
-        encodeFrame(FrameKind::Response, w.take()));
-    if (mayCache && resp.status == Status::Ok && !resp.stale)
-        cacheWire(key, out);
-    m.bytesOut.fetch_add(out->size(), std::memory_order_relaxed);
-    return writeWire(fd, *out);
+    std::vector<uint8_t> out =
+        encodeFrame(FrameKind::Response, w.take());
+    m.bytesOut.fetch_add(out.size(), std::memory_order_relaxed);
+    return writeWire(fd, out);
 }
 
 } // namespace cisa

@@ -10,17 +10,23 @@
  * without limit. The listener's CISA_SERVE_MAX_CONNS shed does the
  * same one layer down.
  *
- * Wire cache: cacheable Ok responses are kept as fully encoded
- * frames (header + checksum + payload) in a bounded LRU keyed by
- * request fingerprint, sized like the executor's response cache (so
- * a capacity of 0 turns both off). A repeat request is answered by
- * writing those bytes verbatim — no executor round-trip, no
- * re-encode, and above all no second checksum pass over a ~140 KiB
- * slab payload, which is where a cached-slab request spends most of
- * its CPU. Fingerprints are exact (canonical request bytes),
- * responses are deterministic, and the cache is bypassed while
- * draining, so a drain-time hit comes back from the executor marked
- * stale and a miss gets BUSY.
+ * Response cache: the daemon's only one. Cacheable Ok responses are
+ * kept as fully encoded frames (header + checksum + payload) in a
+ * bounded LRU keyed by request fingerprint (CISA_SERVE_CACHE
+ * entries; 0 turns it off). A repeat request is answered by writing
+ * those bytes verbatim — no executor round-trip, no re-encode, and
+ * above all no second checksum pass over a ~140 KiB slab payload,
+ * which is where a cached-slab request spends most of its CPU.
+ * Fingerprints are exact (canonical request bytes) and responses are
+ * deterministic, so a hit is the fresh answer. A miss is submitted
+ * to the executor under the cache's lock, and the executor's handler
+ * caches a fresh Ok frame before the job leaves the in-flight index,
+ * so a miss finds either its twin in flight or its frame cached;
+ * none falls between a twin's completion and its caching and runs
+ * again. While the executor drains, a hit is
+ * served stale instead: the same body with the response's stale bit
+ * set, re-framed (the one hit path that checksums again); a miss
+ * gets BUSY.
  *
  * Shutdown: stop() (or requestStop() from a signal handler) stops
  * accepting, lets the executor drain queued and running work (new
@@ -55,6 +61,7 @@ class Server
          * kernel-assigned port, reported by boundAddress(). */
         std::string address;
         int maxConns = 0; ///< 0 = CISA_SERVE_MAX_CONNS
+        int cacheEntries = -1; ///< -1 = CISA_SERVE_CACHE
         Executor::Options exec;
     };
 
@@ -92,15 +99,19 @@ class Server
   private:
     bool answer(int fd, const Request &req, uint32_t deadline_ms,
                 const std::vector<uint8_t> &reqWire);
+    bool reply(int fd, EndpointMetrics &m, const Response &resp);
+
+    /** @p eo with its handler wrapped to cache what it computes. */
+    Executor::Options cachingOptions(Executor::Options eo);
 
     using WirePtr = std::shared_ptr<const std::vector<uint8_t>>;
 
-    /** Wire-cache lookup/insert (see file comment). Null on miss. */
+    /** Response-cache lookup (caller holds wireMu_; null on miss)
+     * and insert (takes wireMu_). See the file comment. */
     WirePtr cachedWire(uint64_t key);
     void cacheWire(uint64_t key, WirePtr wire);
 
     Options opts_;
-    std::unique_ptr<Executor> exec_;
 
     std::mutex wireMu_;
     size_t wireCap_;
@@ -108,6 +119,9 @@ class Server
     std::unordered_map<
         uint64_t, std::list<std::pair<uint64_t, WirePtr>>::iterator>
         wireIdx_;
+
+    /** After the cache: its dispatchers fill it until drained. */
+    std::unique_ptr<Executor> exec_;
 
     /** Last: its connection threads call answer(). */
     Listener listener_;

@@ -2,18 +2,20 @@
  * @file
  * Tests of the cisa-serve subsystem, bottom-up: frame codec
  * robustness (round-trips, truncation, corruption), the typed
- * request/response codecs, executor semantics with injected
- * synthetic handlers (coalescing, backpressure bound, per-waiter
- * deadlines, response cache, priority order, drain), the
- * consistent-hash shard ring (order-independence, balance, minimal
- * remap under churn, replica sets), and end-to-end loopbacks over
- * real sockets — UNIX and TCP: concurrent clients, byte-identical
- * responses, coalesce accounting, deadline frames, graceful-drain
- * BUSY rejection, drip-fed partial reads, checksum corruption in
- * transit, client retry policies, the shared front end's connection
- * limit, bad frames and accept faults on both the daemon and the
- * router, and the router fleet (relay byte-identity, stats roll-up,
- * failover when a worker dies mid-stream or entirely).
+ * request/response codecs (with every truncation and bit flip of a
+ * request envelope), executor semantics with injected synthetic
+ * handlers (coalescing, backpressure bound, per-waiter deadlines,
+ * priority order, drain), the consistent-hash shard ring
+ * (order-independence, balance, minimal remap under churn, replica
+ * sets), and end-to-end loopbacks over real sockets — UNIX and TCP:
+ * concurrent clients, byte-identical responses, coalesce accounting,
+ * the daemon's response cache (hits, LRU eviction, size 0),
+ * deadline frames, graceful-drain BUSY rejection and stale serves,
+ * drip-fed partial reads, checksum corruption in transit, client
+ * retry policies, the shared front end's connection limit, bad
+ * frames and accept faults on both the daemon and the router, and
+ * the router fleet (relay byte-identity, stats roll-up, failover
+ * when a worker dies mid-stream or entirely).
  */
 
 #include <cstdlib>
@@ -206,9 +208,11 @@ roundTripped(const Request &req, uint32_t deadline_in,
     return out;
 }
 
-TEST(RequestCodec, EveryTypeRoundTrips)
+/** One request of every type. */
+std::vector<Request>
+everyType()
 {
-    std::vector<Request> reqs = {
+    return {
         Request::ping(),
         Request::evalPoint(DesignPoint::composite(13, 42), 7),
         Request::evalPoint(
@@ -220,6 +224,11 @@ TEST(RequestCodec, EveryTypeRoundTrips)
                               Budget{30.0, 80.0, true}, 99),
         Request::stats(),
     };
+}
+
+TEST(RequestCodec, EveryTypeRoundTrips)
+{
+    std::vector<Request> reqs = everyType();
     for (const Request &req : reqs) {
         uint32_t deadline = 0;
         Request out = roundTripped(req, 1234, &deadline);
@@ -231,6 +240,34 @@ TEST(RequestCodec, EveryTypeRoundTrips)
     for (size_t i = 0; i < reqs.size(); i++)
         for (size_t j = i + 1; j < reqs.size(); j++)
             EXPECT_NE(reqs[i].fingerprint(), reqs[j].fingerprint());
+}
+
+TEST(RequestCodec, EveryEnvelopeMutantRejectedOrCanonical)
+{
+    // Every truncation is rejected, and a bit flip either is
+    // rejected or decodes to a request whose envelope is exactly the
+    // flipped bytes: the decoder never accepts two spellings of one
+    // request (fingerprints stay exact).
+    for (const Request &req : everyType()) {
+        const std::vector<uint8_t> wire =
+            encodeRequestEnvelope(req, 1234);
+        Request out;
+        uint32_t deadline = 0;
+        std::string err;
+        for (size_t n = 0; n < wire.size(); n++) {
+            EXPECT_FALSE(decodeRequestEnvelope(wire.data(), n, &out,
+                                               &deadline, &err))
+                << reqTypeName(req.type) << " prefix " << n;
+        }
+        for (size_t bit = 0; bit < wire.size() * 8; bit++) {
+            std::vector<uint8_t> bad = wire;
+            bad[bit / 8] ^= uint8_t(1u << (bit % 8));
+            if (decodeRequestEnvelope(bad, &out, &deadline, &err)) {
+                EXPECT_EQ(encodeRequestEnvelope(out, deadline), bad)
+                    << reqTypeName(req.type) << " bit " << bit;
+            }
+        }
+    }
 }
 
 TEST(RequestCodec, DeadlineExcludedFromFingerprint)
@@ -293,6 +330,12 @@ TEST(RequestCodec, MalformedRejected)
         EXPECT_TRUE(rejects(encodeRequestEnvelope(req, 0)));
         req.eval.isaId = 0;
         req.eval.vendor = 200;
+        EXPECT_TRUE(rejects(encodeRequestEnvelope(req, 0)));
+        // A vendor point with another isa id than its vendor's
+        // feature set: the same point under a different fingerprint.
+        req = Request::evalPoint(
+            DesignPoint::vendorPoint(VendorIsa::ThumbLike, 0), 0);
+        req.eval.isaId = 12345;
         EXPECT_TRUE(rejects(encodeRequestEnvelope(req, 0)));
     }
     {
@@ -543,7 +586,7 @@ struct GatedHandler
     std::mutex mu;
     std::condition_variable cv;
     bool open = false;
-    std::atomic<int> invocations{0};
+    std::atomic<int> invocations{0}; ///< changes only under mu
 
     void
     release()
@@ -553,11 +596,20 @@ struct GatedHandler
         cv.notify_all();
     }
 
+    /** Block until the handler has been entered @p n times. */
+    void
+    awaitInvocations(int n)
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return invocations >= n; });
+    }
+
     Response
     operator()(const Request &req, CancelToken &token)
     {
-        invocations++;
         std::unique_lock<std::mutex> lk(mu);
+        invocations++;
+        cv.notify_all();
         while (!cv.wait_for(lk, std::chrono::milliseconds(5),
                             [&] { return open; })) {
             checkCancel(&token); // throws Cancelled when expired
@@ -616,7 +668,6 @@ TEST(Executor, QueueBoundGivesBusyAndNeverGrows)
     Executor::Options opts;
     opts.queueBound = 3;
     opts.workers = 1;
-    opts.cacheEntries = 0;
     opts.handler = std::ref(gate);
     Executor exec(opts);
 
@@ -624,15 +675,12 @@ TEST(Executor, QueueBoundGivesBusyAndNeverGrows)
     // distinct requests up to the bound.
     std::vector<std::thread> waiters;
     auto spawn = [&](Request req) {
-        Executor::JobPtr job;
-        Response cached;
-        ASSERT_EQ(exec.submit(req, 0, &job, &cached),
-                  Executor::Admit::Accepted);
+        Executor::JobPtr job = exec.submit(req, 0);
+        ASSERT_TRUE(job);
         waiters.emplace_back([&exec, job] { exec.wait(job, 0); });
     };
     spawn(Request::ping());
-    while (gate.invocations.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate.awaitInvocations(1);
     for (int i = 0; i < 3; i++)
         spawn(Request::slabPerf(i));
     EXPECT_EQ(exec.queueDepth(), 3u);
@@ -640,11 +688,7 @@ TEST(Executor, QueueBoundGivesBusyAndNeverGrows)
     // A saturated queue rejects immediately and buffers nothing —
     // no matter how many times we try.
     for (int i = 0; i < 100; i++) {
-        Executor::JobPtr job;
-        Response cached;
-        EXPECT_EQ(exec.submit(Request::slabPerf(10 + i), 0, &job,
-                              &cached),
-                  Executor::Admit::Busy);
+        EXPECT_FALSE(exec.submit(Request::slabPerf(10 + i), 0));
         EXPECT_LE(exec.queueDepth(), 3u);
     }
     StatsSnap s = exec.snapshot();
@@ -681,139 +725,6 @@ TEST(Executor, WaiterDeadlineReturnsDeadline)
     exec.drain();
 }
 
-TEST(Executor, CachesCompletedResponses)
-{
-    std::atomic<int> runs{0};
-    Executor::Options opts;
-    opts.queueBound = 4;
-    opts.workers = 1;
-    opts.cacheEntries = 8;
-    opts.handler = [&](const Request &, CancelToken &) {
-        runs++;
-        Response r;
-        r.body = {7};
-        return r;
-    };
-    Executor exec(opts);
-
-    EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Ok);
-    EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Ok);
-    EXPECT_EQ(runs.load(), 1) << "second call must be a cache hit";
-    EXPECT_EQ(exec.snapshot().ep[size_t(ReqType::Slab)].cacheHits,
-              1u);
-
-    // Ping is not cacheable: each call runs.
-    EXPECT_EQ(exec.call(Request::ping()).status, Status::Ok);
-    EXPECT_EQ(exec.call(Request::ping()).status, Status::Ok);
-    EXPECT_EQ(runs.load(), 3);
-}
-
-TEST(Executor, StaleServesCachedAnswerWhileDraining)
-{
-    std::atomic<int> runs{0};
-    Executor::Options opts;
-    opts.queueBound = 4;
-    opts.workers = 1;
-    opts.cacheEntries = 8;
-    opts.handler = [&](const Request &, CancelToken &) {
-        runs++;
-        Response r;
-        r.body = {7};
-        return r;
-    };
-    Executor exec(opts);
-
-    Response fresh = exec.call(Request::slabPerf(2));
-    EXPECT_EQ(fresh.status, Status::Ok);
-    EXPECT_FALSE(fresh.stale);
-    exec.drain();
-
-    // Degraded mode: the cached answer comes back flagged stale,
-    // with the exact same body; uncached requests still see BUSY.
-    Response stale = exec.call(Request::slabPerf(2));
-    EXPECT_EQ(stale.status, Status::Ok);
-    EXPECT_TRUE(stale.stale);
-    EXPECT_EQ(stale.body, fresh.body);
-    EXPECT_EQ(runs.load(), 1);
-    EXPECT_EQ(exec.call(Request::slabPerf(3)).status, Status::Busy);
-
-    StatsSnap s = exec.snapshot();
-    EXPECT_EQ(s.ep[size_t(ReqType::Slab)].stale, 1u);
-    EXPECT_EQ(s.ep[size_t(ReqType::Slab)].cacheHits, 1u);
-}
-
-TEST(Executor, StaleServesCachedAnswerWhenQueueIsFull)
-{
-    GatedHandler gate;
-    Executor::Options opts;
-    opts.queueBound = 1;
-    opts.workers = 1;
-    opts.cacheEntries = 8;
-    opts.handler = std::ref(gate);
-    Executor exec(opts);
-
-    // Warm the cache while the executor is healthy.
-    gate.release();
-    Response fresh = exec.call(Request::slabPerf(2));
-    EXPECT_EQ(fresh.status, Status::Ok);
-    EXPECT_FALSE(fresh.stale);
-
-    // Saturate: one request on the worker, one in the queue.
-    {
-        std::lock_guard<std::mutex> lk(gate.mu);
-        gate.open = false;
-    }
-    std::vector<std::thread> waiters;
-    waiters.emplace_back(
-        [&] { exec.call(Request::slabPerf(3)); });
-    while (gate.invocations.load() < 2)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    waiters.emplace_back(
-        [&] { exec.call(Request::slabPerf(4)); });
-    while (exec.queueDepth() < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // Queue at bound: the cached slab is served stale, the uncached
-    // one is refused.
-    Response stale = exec.call(Request::slabPerf(2));
-    EXPECT_EQ(stale.status, Status::Ok);
-    EXPECT_TRUE(stale.stale);
-    EXPECT_EQ(stale.body, fresh.body);
-    EXPECT_EQ(exec.call(Request::slabPerf(5)).status, Status::Busy);
-
-    gate.release();
-    for (std::thread &t : waiters)
-        t.join();
-
-    // Healthy again: the same hit is fresh once more.
-    Response again = exec.call(Request::slabPerf(2));
-    EXPECT_EQ(again.status, Status::Ok);
-    EXPECT_FALSE(again.stale);
-}
-
-TEST(Executor, CacheEvictsBeyondCapacity)
-{
-    std::atomic<int> runs{0};
-    Executor::Options opts;
-    opts.queueBound = 8;
-    opts.workers = 1;
-    opts.cacheEntries = 2;
-    opts.handler = [&](const Request &, CancelToken &) {
-        runs++;
-        return Response{};
-    };
-    Executor exec(opts);
-
-    for (int slab = 0; slab < 4; slab++)
-        exec.call(Request::slabPerf(slab));
-    EXPECT_EQ(runs.load(), 4);
-    // Slabs 2 and 3 are cached; slab 0 was evicted and recomputes.
-    exec.call(Request::slabPerf(3));
-    EXPECT_EQ(runs.load(), 4);
-    exec.call(Request::slabPerf(0));
-    EXPECT_EQ(runs.load(), 5);
-}
-
 TEST(Executor, PriorityClassOrdersQueue)
 {
     GatedHandler gate;
@@ -822,7 +733,6 @@ TEST(Executor, PriorityClassOrdersQueue)
     Executor::Options opts;
     opts.queueBound = 8;
     opts.workers = 1;
-    opts.cacheEntries = 0;
     opts.handler = [&](const Request &req,
                        CancelToken &token) -> Response {
         if (req.type == ReqType::Ping)
@@ -835,8 +745,7 @@ TEST(Executor, PriorityClassOrdersQueue)
 
     std::thread blocker(
         [&] { exec.call(Request::ping()); });
-    while (gate.invocations.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate.awaitInvocations(1);
 
     // Enqueue in "wrong" order: search (class 2), slab (class 1),
     // eval (class 0). The single worker must drain cheapest-first.
@@ -847,10 +756,8 @@ TEST(Executor, PriorityClassOrdersQueue)
     Request eval =
         Request::evalPoint(DesignPoint::composite(0, 0), 0);
     for (const Request *r : {&search, &slab, &eval}) {
-        Executor::JobPtr job;
-        Response cached;
-        ASSERT_EQ(exec.submit(*r, 0, &job, &cached),
-                  Executor::Admit::Accepted);
+        Executor::JobPtr job = exec.submit(*r, 0);
+        ASSERT_TRUE(job);
         clients.emplace_back([&exec, job] { exec.wait(job, 0); });
     }
     gate.release();
@@ -880,8 +787,7 @@ TEST(Executor, DrainFinishesWorkThenRejects)
             got[size_t(i)] = exec.call(Request::slabPerf(i));
         });
     }
-    while (gate.invocations.load() < 2)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate.awaitInvocations(2);
     // Both workers are held; the third client must be queued before
     // the drain starts, or the drain turns it away as Busy.
     while (exec.queueDepth() != 1)
@@ -912,12 +818,9 @@ TEST(Executor, StatsServedInlineWhenSaturated)
     Executor exec(opts);
 
     std::thread blocker([&] { exec.call(Request::ping()); });
-    while (gate.invocations.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    Executor::JobPtr job;
-    Response cached;
-    ASSERT_EQ(exec.submit(Request::slabPerf(0), 0, &job, &cached),
-              Executor::Admit::Accepted);
+    gate.awaitInvocations(1);
+    Executor::JobPtr job = exec.submit(Request::slabPerf(0), 0);
+    ASSERT_TRUE(job);
     std::thread waiter([&exec, job] { exec.wait(job, 0); });
 
     // Queue is full — but stats must still answer immediately.
@@ -1141,12 +1044,20 @@ TEST(ServerE2E, CorruptFramesRejectedCleanly)
 
 TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
 {
+    // Tables answer at once; a slab holds the handler at the gate.
     GatedHandler gate;
     Server::Options opts;
     opts.address = testSocketPath("drain");
+    opts.cacheEntries = 2;
     opts.exec.queueBound = 8;
     opts.exec.workers = 1;
-    opts.exec.handler = std::ref(gate);
+    opts.exec.handler = [&](const Request &req, CancelToken &token) {
+        if (req.type != ReqType::Table)
+            return gate(req, token);
+        Response r;
+        r.body = {uint8_t(req.slab.slab)};
+        return r;
+    };
     Server server(opts);
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
@@ -1155,6 +1066,18 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
     // acceptor has shut down, no new connections are served.
     Client probe;
     ASSERT_TRUE(probe.connect(opts.address, &err)) << err;
+    auto call = [&](const Request &req) {
+        Response r;
+        EXPECT_TRUE(probe.call(req, &r)) << probe.lastError();
+        return r;
+    };
+
+    // Fill table A, then B; hit A; fill C, which evicts B, the
+    // least recently used.
+    constexpr int kA = 1, kB = 2, kC = 3;
+    Response freshA = call(Request::tableOf(kA));
+    for (int slab : {kB, kA, kC})
+        EXPECT_EQ(call(Request::tableOf(slab)).status, Status::Ok);
 
     // One in-flight request holds the (synthetic) handler open.
     Response slow;
@@ -1163,8 +1086,7 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
         if (c.connect(opts.address))
             c.call(Request::slabPerf(0), &slow);
     });
-    while (gate.invocations.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate.awaitInvocations(1);
 
     // SIGTERM path: requestStop() from (nominally) a signal
     // handler, stop() drains on a worker thread.
@@ -1173,14 +1095,15 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
     while (!server.executor().draining())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    // During the drain, a new request on a live connection is
-    // rejected with BUSY.
-    {
-        Response r;
-        ASSERT_TRUE(probe.call(Request::slabPerf(1), &r))
-            << probe.lastError();
-        EXPECT_EQ(r.status, Status::Busy);
-    }
+    // During the drain, a cached table is served with the stale bit
+    // and the fresh body; the evicted table and an uncached slab, new
+    // requests on a live connection, are rejected with BUSY.
+    Response a = call(Request::tableOf(kA));
+    EXPECT_EQ(a.status, Status::Ok);
+    EXPECT_TRUE(a.stale);
+    EXPECT_EQ(a.body, freshA.body);
+    EXPECT_EQ(call(Request::tableOf(kB)).status, Status::Busy);
+    EXPECT_EQ(call(Request::slabPerf(1)).status, Status::Busy);
 
     // The in-flight request still completes and its response is
     // delivered before the connection closes.
@@ -1188,6 +1111,13 @@ TEST(ServerE2E, GracefulDrainRejectsNewWithBusy)
     stopper.join();
     inflight.join();
     EXPECT_EQ(slow.status, Status::Ok);
+
+    // Each table request is counted once, as ok or busy.
+    const EndpointSnap table =
+        server.executor().snapshot().ep[size_t(ReqType::Table)];
+    EXPECT_EQ(table.stale, 1u);
+    EXPECT_EQ(table.busy, 1u);
+    EXPECT_EQ(table.requests, table.ok + table.busy);
 }
 
 TEST(ServerE2E, MaxConnsRejectsExtraConnectionsWithBusy)
@@ -1272,34 +1202,56 @@ TEST(ServerE2E, AcceptFaultDropsTheConnectionUnanswered)
 
 TEST(ServerE2E, CacheSizeZeroDisablesEveryCache)
 {
-    std::atomic<int> runs{0};
-    Server::Options opts;
-    opts.address = testSocketPath("nocache");
-    opts.exec.cacheEntries = 0;
-    opts.exec.handler = [&](const Request &, CancelToken &) {
-        runs++;
-        Response r;
-        r.body = {7};
-        return r;
-    };
-    Server server(opts);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
+    for (int cap : {0, 2}) {
+        SCOPED_TRACE("cache " + std::to_string(cap));
+        std::atomic<int> runs{0};
+        Server::Options opts;
+        opts.address = testSocketPath("cache" + std::to_string(cap));
+        opts.cacheEntries = cap;
+        opts.exec.handler = [&](const Request &, CancelToken &) {
+            runs++;
+            Response r;
+            r.body = {7};
+            return r;
+        };
+        Server server(opts);
+        std::string err;
+        ASSERT_TRUE(server.start(&err)) << err;
 
-    Client c;
-    ASSERT_TRUE(c.connect(opts.address, &err)) << err;
-    for (int i = 0; i < 3; i++) {
-        Response r;
-        ASSERT_TRUE(c.call(Request::tableOf(3), &r)) << c.lastError();
-        EXPECT_EQ(r.status, Status::Ok);
+        Client c;
+        ASSERT_TRUE(c.connect(opts.address, &err)) << err;
+        auto call = [&](const Request &req) {
+            Response r;
+            EXPECT_TRUE(c.call(req, &r)) << c.lastError();
+            EXPECT_EQ(r.status, Status::Ok);
+        };
+
+        // A repeat is a hit, counted as ok too, unless caching is
+        // off: then every repeat runs the handler.
+        call(Request::tableOf(3));
+        call(Request::tableOf(3));
+        EXPECT_EQ(runs.load(), cap ? 1 : 2);
+        const EndpointSnap table =
+            server.executor().snapshot().ep[size_t(ReqType::Table)];
+        EXPECT_EQ(table.cacheHits, cap ? 1u : 0u);
+        EXPECT_EQ(table.ok, 2u);
+
+        // Ping is never cached.
+        call(Request::ping());
+        call(Request::ping());
+        EXPECT_EQ(runs.load(), cap ? 3 : 4);
+
+        // Fill 4, hit 3, fill 5: the third key evicts 4, the least
+        // recently used entry, and 3 stays cached.
+        for (int slab : {4, 3, 5})
+            call(Request::tableOf(slab));
+        int before = runs.load();
+        call(Request::tableOf(3));
+        EXPECT_EQ(runs.load(), before + (cap ? 0 : 1));
+        call(Request::tableOf(4));
+        EXPECT_EQ(runs.load(), before + (cap ? 1 : 2));
+        server.stop();
     }
-    // Neither the executor's response cache nor the server's wire
-    // cache may answer a repeat.
-    EXPECT_EQ(runs.load(), 3);
-    EXPECT_EQ(
-        server.executor().snapshot().ep[size_t(ReqType::Table)].cacheHits,
-        0u);
-    server.stop();
 }
 
 // ---------------------------------------------------------------
@@ -1798,8 +1750,7 @@ TEST(ClientRetry, BusyRetriesUntilCapacityFrees)
         if (c.connect(opts.address))
             c.call(Request::slabPerf(0), &r1);
     });
-    while (gate.invocations.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate.awaitInvocations(1);
     std::thread t2([&] {
         Client c;
         if (c.connect(opts.address))

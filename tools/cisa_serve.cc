@@ -52,7 +52,7 @@ usage(const char *argv0)
         "(CISA_SERVE_QUEUE)\n"
         "  --workers N           dispatcher threads "
         "(CISA_SERVE_WORKERS)\n"
-        "  --cache N             cached responses "
+        "  --cache N             cached response frames, 0 = off "
         "(CISA_SERVE_CACHE)\n"
         "  --print-address FILE  write the bound address to FILE "
         "(host:0 resolves the port)\n",
@@ -82,7 +82,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--workers")) {
             opts.exec.workers = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--cache")) {
-            opts.exec.cacheEntries = std::atoi(val());
+            opts.cacheEntries = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {
