@@ -73,7 +73,7 @@ main()
     for (const char *name :
          {"microx86-16D-32W-P", "x86-16D-64W-P", "x86-64D-64W-F"}) {
         FeatureSet fs = FeatureSet::parse(name);
-        CompileOptions opts = CompileOptions::fromEnv();
+        CompileOptions opts;
         opts.target = fs;
         double bytes_v = 0, bytes_f = 0, ipc_v = 0, ipc_f = 0;
         int n = 0;

@@ -1,5 +1,8 @@
 #include "bench/benchcommon.hh"
 
+#include <cstdio>
+#include <utility>
+
 namespace cisa
 {
 namespace benchutil
@@ -115,6 +118,84 @@ constrainedSearch(const ConstrainedCase &c)
     Budget b = areaBudget(48);
     return searchDesign(Family::CompositeFull,
                         Objective::MpThroughput, b, 2019, c.filter);
+}
+
+namespace
+{
+
+/** Summed single-thread time (returned) and EDP (@p edp) of design
+ * @p d over the suite. */
+double
+stTime(const MulticoreDesign &d, Objective obj, double &edp)
+{
+    double t = 0;
+    edp = 0;
+    for (int b = 0; b < int(specSuite().size()); b++) {
+        StOutcome o = runSingleThread(d, b, obj);
+        t += o.time;
+        edp += o.edp;
+    }
+    return t;
+}
+
+} // namespace
+
+StSweep
+singleThreadSweep(const std::vector<double> &budgets,
+                  Budget (*make)(double), const char *unit)
+{
+    Table tp("single-thread speedup (normalized to homogeneous)");
+    Table te("single-thread EDP (normalized; lower is better)");
+    std::vector<std::string> hdr = {"design"};
+    for (double b : budgets)
+        hdr.push_back(budgetLabel(b, unit));
+    tp.header(hdr);
+    te.header(hdr);
+
+    std::vector<std::vector<double>> times(allFamilies().size());
+    std::vector<std::vector<double>> edps(allFamilies().size());
+    for (size_t fi = 0; fi < allFamilies().size(); fi++) {
+        for (double b : budgets) {
+            Budget bud = make(b);
+            SearchResult rp = searchDesign(allFamilies()[fi],
+                                           Objective::StPerf, bud,
+                                           2019);
+            SearchResult re = searchDesign(allFamilies()[fi],
+                                           Objective::StEdp, bud,
+                                           2019);
+            double edp_d = 0, dummy = 0;
+            times[fi].push_back(
+                rp.feasible ? stTime(rp.design, Objective::StPerf,
+                                     dummy)
+                            : 0);
+            if (re.feasible)
+                stTime(re.design, Objective::StEdp, edp_d);
+            edps[fi].push_back(re.feasible ? edp_d : 0);
+        }
+    }
+
+    for (size_t fi = 0; fi < allFamilies().size(); fi++) {
+        std::vector<std::string> rp = {familyName(allFamilies()[fi])};
+        std::vector<std::string> re = rp;
+        for (size_t bi = 0; bi < budgets.size(); bi++) {
+            rp.push_back(times[fi][bi] > 0 && times[0][bi] > 0
+                             ? Table::num(times[0][bi] /
+                                              times[fi][bi],
+                                          3)
+                             : std::string("infeas"));
+            re.push_back(edps[fi][bi] > 0 && edps[0][bi] > 0
+                             ? Table::num(edps[fi][bi] /
+                                              edps[0][bi],
+                                          3)
+                             : std::string("infeas"));
+        }
+        tp.row(rp);
+        te.row(re);
+    }
+    tp.print();
+    std::printf("\n");
+    te.print();
+    return {std::move(times), std::move(edps)};
 }
 
 void

@@ -2,7 +2,8 @@
  * @file
  * Shared helpers for the figure/table reproduction benches: budget
  * lists, the five design families of Figures 5-8, normalized-bar
- * printing, and the ten constrained searches behind Figures 9-11.
+ * printing, the single-thread sweep of Figures 7-8, and the ten
+ * constrained searches behind Figures 9-11.
  */
 
 #ifndef CISA_BENCH_BENCHCOMMON_HH
@@ -56,6 +57,21 @@ std::vector<ConstrainedCase> featureConstraints();
 /** Search result cacheable across the 9/10/11 benches (in-process
  * deterministic: same seed -> same design). */
 SearchResult constrainedSearch(const ConstrainedCase &c);
+
+/** Figures 7 and 8, per family and budget: the summed single-thread
+ * time of the StPerf design and the summed EDP of the StEdp design,
+ * 0 where the search is infeasible. */
+struct StSweep
+{
+    std::vector<std::vector<double>> times; ///< [family][budget]
+    std::vector<std::vector<double>> edps;  ///< [family][budget]
+};
+
+/** Search every family under every budget of @p budgets, each made
+ * by @p make, and print the speedup and EDP tables normalized to the
+ * homogeneous design, with budget columns labelled in @p unit. */
+StSweep singleThreadSweep(const std::vector<double> &budgets,
+                          Budget (*make)(double), const char *unit);
 
 /** Print one row of normalized bars. */
 void printNormalizedRow(Table &t, const std::string &label,

@@ -28,7 +28,7 @@ struct Mix
 Mix
 mixFor(const FeatureSet &fs)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = fs;
     Mix m;
     for (int b = 0; b < int(specSuite().size()); b++) {

@@ -15,86 +15,19 @@
 using namespace cisa;
 using namespace cisa::benchutil;
 
-namespace
-{
-
-double
-stTime(const MulticoreDesign &d, Objective obj, double &edp)
-{
-    double t = 0;
-    edp = 0;
-    for (int b = 0; b < int(specSuite().size()); b++) {
-        StOutcome o = runSingleThread(d, b, obj);
-        t += o.time;
-        edp += o.edp;
-    }
-    return t;
-}
-
-} // namespace
-
 int
 main()
 {
     std::printf("== Figure 7: single-thread performance and EDP vs "
                 "peak-power budget (one active core) ==\n\n");
 
-    const auto &budgets = stPowerBudgets();
-    Table tp("single-thread speedup (normalized to homogeneous)");
-    Table te("single-thread EDP (normalized; lower is better)");
-    std::vector<std::string> hdr = {"design"};
-    for (double b : budgets)
-        hdr.push_back(budgetLabel(b, "W"));
-    tp.header(hdr);
-    te.header(hdr);
-
-    std::vector<std::vector<double>> times(allFamilies().size());
-    std::vector<std::vector<double>> edps(allFamilies().size());
-    for (size_t fi = 0; fi < allFamilies().size(); fi++) {
-        for (double b : budgets) {
-            Budget bud = powerBudget(b, true);
-            SearchResult rp = searchDesign(allFamilies()[fi],
-                                           Objective::StPerf, bud,
-                                           2019);
-            SearchResult re = searchDesign(allFamilies()[fi],
-                                           Objective::StEdp, bud,
-                                           2019);
-            double edp_d = 0, dummy = 0;
-            times[fi].push_back(
-                rp.feasible ? stTime(rp.design, Objective::StPerf,
-                                     dummy)
-                            : 0);
-            if (re.feasible)
-                stTime(re.design, Objective::StEdp, edp_d);
-            edps[fi].push_back(re.feasible ? edp_d : 0);
-        }
-    }
-
-    for (size_t fi = 0; fi < allFamilies().size(); fi++) {
-        std::vector<std::string> rp = {familyName(allFamilies()[fi])};
-        std::vector<std::string> re = rp;
-        for (size_t bi = 0; bi < budgets.size(); bi++) {
-            rp.push_back(times[fi][bi] > 0 && times[0][bi] > 0
-                             ? Table::num(times[0][bi] /
-                                              times[fi][bi],
-                                          3)
-                             : std::string("infeas"));
-            re.push_back(edps[fi][bi] > 0 && edps[0][bi] > 0
-                             ? Table::num(edps[fi][bi] /
-                                              edps[0][bi],
-                                          3)
-                             : std::string("infeas"));
-        }
-        tp.row(rp);
-        te.row(re);
-    }
-    tp.print();
-    std::printf("\n");
-    te.print();
+    auto [times, edps] = singleThreadSweep(
+        stPowerBudgets(),
+        [](double w) { return powerBudget(w, true); }, "W");
 
     double sp = 0, ed = 0;
     int n = 0;
-    for (size_t bi = 0; bi < budgets.size(); bi++) {
+    for (size_t bi = 0; bi < times[0].size(); bi++) {
         if (times[4][bi] > 0 && times[1][bi] > 0) {
             sp += times[1][bi] / times[4][bi] - 1.0;
             ed += 1.0 - edps[4][bi] / edps[1][bi];

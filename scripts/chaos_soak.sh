@@ -187,9 +187,11 @@ dl="$(jget deadline "$tmp/deadline.json")"
     >"$tmp/after.txt" || fail "post-chaos load lost requests"
 
 # Fleet-wide counters: one stats call against the router rolls up
-# workers, router health, supervisor, and fault-plane counters.
-"$client" --address "$rt" stats >"$tmp/stats.txt" ||
-    fail "stats request failed"
+# workers, router health, supervisor, and fault-plane counters. The
+# router's own net faults still fire, so the call retries as the
+# load generator does.
+CISA_CLIENT_RETRIES=8 "$client" --address "$rt" stats \
+    >"$tmp/stats.txt" || fail "stats request failed"
 
 downs="$(sed -n \
     's/^fleet: .* \([0-9][0-9]*\) down-marks.*/\1/p' \

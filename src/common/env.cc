@@ -141,12 +141,6 @@ batchSimdEnabled()
     return envInt("CISA_BATCH_SIMD", 1) != 0;
 }
 
-bool
-pipelineVerifyEnabled()
-{
-    return envInt("CISA_VERIFY_IR", 0) != 0;
-}
-
 int
 searchRestarts()
 {
@@ -226,13 +220,6 @@ int
 superviseCrashLoop()
 {
     return int(envIntRange("CISA_SUPERVISE_CRASHLOOP", 5, 1, 1000));
-}
-
-int
-dcsimParBatch()
-{
-    return int(
-        envIntRange("CISA_DCSIM_PAR_BATCH", 64, 2, 1 << 20));
 }
 
 } // namespace cisa

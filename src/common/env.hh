@@ -13,8 +13,11 @@
  * A value that nothing in the repository ever sets is a constant
  * beside the code that uses it, not a knob: the listen backlog
  * (listener.cc), the router's pooled connections per worker
- * (router.cc), the client's first retry backoff (RetryPolicy) and
- * the datacenter tile's idle power (power/calib.hh).
+ * (router.cc), the client's first retry backoff (RetryPolicy), the
+ * datacenter tile's idle power (power/calib.hh) and the placement
+ * batch at which cisa-dcsim scores on the pool (dcsim.cc). The
+ * compiler reads no knob: its callers set its options, and it checks
+ * the IR after every pass.
  */
 
 #ifndef CISA_COMMON_ENV_HH
@@ -78,12 +81,6 @@ int batchWidth();
  * A/B timing and testing that fallback on AVX-512 hosts. */
 bool batchSimdEnabled();
 
-/** Re-validate IR invariants after every mid-end pass so a
- * corrupting pass is blamed by name (CISA_VERIFY_IR, default
- * off). Verifying changes neither the generated code nor the slab
- * store's key. */
-bool pipelineVerifyEnabled();
-
 /** Hill-climbing restarts in the multicore search. */
 int searchRestarts();
 
@@ -139,12 +136,6 @@ int superviseStableMs();
  * the maximum backoff and counted in stats
  * (CISA_SUPERVISE_CRASHLOOP). */
 int superviseCrashLoop();
-
-/** Smallest same-tick placement batch the datacenter simulator fans
- * out over the thread pool; smaller batches score inline on the
- * event loop thread. Results are bit-identical either way
- * (CISA_DCSIM_PAR_BATCH). */
-int dcsimParBatch();
 
 } // namespace cisa
 

@@ -1,11 +1,9 @@
 #include "compiler/compiler.hh"
 
-#include <chrono>
-
-#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "compiler/interp.hh"
+#include "compiler/passes/dce.hh"
 #include "compiler/passes/encode.hh"
 #include "compiler/passes/isel.hh"
 #include "compiler/passes/regalloc.hh"
@@ -13,14 +11,6 @@
 
 namespace cisa
 {
-
-CompileOptions
-CompileOptions::fromEnv()
-{
-    CompileOptions o;
-    o.verifyIr = pipelineVerifyEnabled();
-    return o;
-}
 
 uint64_t
 CompileOptions::pipelineKey() const
@@ -32,56 +22,79 @@ CompileOptions::pipelineKey() const
                               uint64_t(enableSchedule) << 3);
 }
 
+namespace
+{
+
+/** Panic, naming @p pass and @p f, unless @p m is well formed. */
+void
+checkAfter(const IrModule &m, const char *pass, const IrFunction &f)
+{
+    std::string err = m.check();
+    panic_if(!err.empty(),
+             "IR check failed after pass '%s' on function '%s': %s",
+             pass, f.name.c_str(), err.c_str());
+}
+
+} // namespace
+
 MachineProgram
 compile(const IrModule &m, const CompileOptions &opts,
         CompileReport *report, IrModule *transformed_ir)
 {
     const FeatureSet &t = opts.target;
     panic_if(!t.isViable(), "compiling for non-viable feature set");
+    // A well-formed input lets every later check blame its pass.
+    m.validate();
 
     IrModule work = m; // passes mutate a private copy
     CompileReport rep;
 
-    PassManager(opts).run(work, opts, rep);
-    work.validate();
+    // The mid-end, function-major. A cleared enable flag drops its
+    // stage, and vectorize and ifconvert also need a target that can
+    // lower their output. Both DCE stages always run, so dead and
+    // predicated-off code never reaches instruction selection.
+    for (auto &f : work.funcs) {
+        if (opts.enableLvn) {
+            LvnStats s = runLvn(f, t.regDepth);
+            rep.lvn.exprsEliminated += s.exprsEliminated;
+            rep.lvn.loadsEliminated += s.loadsEliminated;
+            rep.lvn.skippedForPressure += s.skippedForPressure;
+            checkAfter(work, "lvn", f);
+        }
+        rep.dceRemoved += runDce(f);
+        checkAfter(work, "dce", f);
+        if (opts.enableVectorize && t.simd()) {
+            VectorizeStats s = runVectorize(f);
+            rep.vec.loopsVectorized += s.loopsVectorized;
+            rep.vec.loopsRejected += s.loopsRejected;
+            checkAfter(work, "vectorize", f);
+        }
+        if (opts.enableIfConvert && t.fullPredication()) {
+            IfConvertParams p;
+            p.regDepth = t.regDepth;
+            IfConvertStats s = runIfConvert(f, p);
+            rep.ifc.diamondsConverted += s.diamondsConverted;
+            rep.ifc.trianglesConverted += s.trianglesConverted;
+            rep.ifc.rejectedUnprofitable += s.rejectedUnprofitable;
+            rep.ifc.rejectedShape += s.rejectedShape;
+            checkAfter(work, "ifconvert", f);
+        }
+        rep.dceRemoved += runDce(f);
+        checkAfter(work, "dce", f);
+    }
 
     MachineProgram prog;
     prog.name = work.name;
     prog.target = t;
-
-    using clk = std::chrono::steady_clock;
-    double us[4] = {0, 0, 0, 0}; // isel, regalloc, sched, encode
-    auto timed = [&](int stage, auto &&fn) {
-        auto t0 = clk::now();
-        fn();
-        us[stage] +=
-            std::chrono::duration<double, std::micro>(clk::now() -
-                                                      t0)
-                .count();
-    };
-
     std::vector<uint64_t> bases = regionLayout(work, t.widthBits());
     for (const auto &f : work.funcs) {
-        MachineFunction mf;
-        timed(0, [&] { mf = runIsel(f, work, bases, t); });
-        timed(1, [&] { runRegalloc(mf, t); });
-        if (opts.enableSchedule) {
-            timed(2, [&] {
-                SchedStats s = runSchedule(mf);
-                rep.blocksScheduled += s.blocksScheduled;
-            });
-        }
+        MachineFunction mf = runIsel(f, work, bases, t);
+        runRegalloc(mf, t);
+        if (opts.enableSchedule)
+            rep.blocksScheduled += runSchedule(mf).blocksScheduled;
         prog.funcs.push_back(std::move(mf));
     }
-    timed(3, [&] { runEncode(prog); });
-
-    const char *stage_names[4] = {"isel", "regalloc", "sched",
-                                  "encode"};
-    for (int s = 0; s < 4; s++) {
-        if (s == 2 && !opts.enableSchedule)
-            continue;
-        rep.passRuns.push_back({stage_names[s], us[s], true});
-    }
+    runEncode(prog);
 
     if (report)
         *report = rep;

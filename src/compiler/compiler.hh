@@ -1,15 +1,16 @@
 /**
  * @file
- * The compiler driver: runs the mid-end pass pipeline (see
- * passmanager.hh) and the back end to lower one target-independent
- * IrModule onto one composite feature set.
+ * The compiler entry point: lowers one target-independent IrModule
+ * onto one composite feature set by calling each pass in turn.
  *
- * Mid-end (Section IV.A): pressure-sensitive LVN -> dead-code
- * elimination -> loop vectorization (SIMD targets) -> if-conversion
- * (fully-predicated targets) -> final DCE cleanup. Back end:
- * instruction selection (folding on full x86; 64-on-32
- * legalization) -> linear-scan register allocation at the target's
- * register depth -> post-RA list scheduling -> layout + encoding.
+ * Mid-end (Section IV.A), function by function: pressure-sensitive
+ * LVN -> dead-code elimination -> loop vectorization (SIMD targets)
+ * -> if-conversion (fully-predicated targets) -> final DCE cleanup,
+ * with the IR checked after every stage so a corrupting pass is
+ * named in the panic. Back end: instruction selection (folding on
+ * full x86; 64-on-32 legalization) -> linear-scan register
+ * allocation at the target's register depth -> post-RA list
+ * scheduling -> layout + encoding.
  *
  * compile() optionally returns the transformed IR, which is the
  * semantic reference the machine code must match exactly — the
@@ -21,14 +22,12 @@
 #define CISA_COMPILER_COMPILER_HH
 
 #include <cstdint>
-#include <string>
 
 #include "compiler/ir.hh"
 #include "compiler/machine.hh"
 #include "compiler/passes/ifconvert.hh"
 #include "compiler/passes/lvn.hh"
 #include "compiler/passes/vectorize.hh"
-#include "compiler/passmanager.hh"
 #include "isa/features.hh"
 
 namespace cisa
@@ -39,33 +38,27 @@ struct CompileOptions
 {
     FeatureSet target = FeatureSet::superset();
 
-    /** Re-check IR invariants after every mid-end pass and blame the
-     * corrupting pass by name (CISA_VERIFY_IR). */
-    bool verifyIr = false;
-
     bool enableLvn = true;
     bool enableVectorize = true; ///< effective only with SIMD
     bool enableIfConvert = true; ///< effective only with full pred.
     bool enableSchedule = true;  ///< post-RA list scheduling
 
-    /**
-     * Options seeded from the environment (CISA_VERIFY_IR) — the one
-     * constructor every compile site that wants the campaign's
-     * configuration must go through, so the explorer, the service
-     * and migration recompiles cannot silently diverge.
-     */
-    static CompileOptions fromEnv();
+    /** The defaults: no environment knob configures the compiler.
+     * It stays only while perfbench, whose sources change only with
+     * the benchmark, still calls it. */
+    static CompileOptions fromEnv() { return {}; }
 
     /**
      * Stable fingerprint of everything here that changes generated
-     * code except the target itself; verifyIr only checks, so it is
-     * left out. Folded into the DSE slab budget key so results
-     * compiled under different pipelines never alias in the cache.
+     * code except the target itself. Folded into the DSE slab budget
+     * key so results compiled under different pipelines never alias
+     * in the cache.
      */
     uint64_t pipelineKey() const;
 };
 
-/** Aggregate pass statistics for one compilation. */
+/** Aggregate pass statistics for one compilation: plain counts, so
+ * two compiles of the same input report the same bytes. */
 struct CompileReport
 {
     LvnStats lvn;
@@ -73,13 +66,6 @@ struct CompileReport
     IfConvertStats ifc;
     int dceRemoved = 0;
     int blocksScheduled = 0;
-
-    /** Canonical string of the mid-end pipeline that ran. */
-    std::string pipeline;
-
-    /** Per-stage wall clock and change flags: one entry per mid-end
-     * pass, then the backend stages (isel/regalloc/sched/encode). */
-    std::vector<PassRun> passRuns;
 };
 
 /**

@@ -15,13 +15,11 @@ CompiledRun
 compileAndRun(const IrModule &module, const FeatureSet &isa,
               const CompileOptions *options)
 {
-    CompileOptions opts =
-        options ? *options : CompileOptions::fromEnv();
+    CompileOptions opts = options ? *options : CompileOptions{};
     opts.target = isa;
 
     CompiledRun out;
-    CompileReport rep;
-    out.program = compile(module, opts, &rep, &out.transformedIr);
+    out.program = compile(module, opts, nullptr, &out.transformedIr);
     MemImage img = MemImage::build(out.transformedIr,
                                    isa.widthBits());
     out.result = executeMachine(out.program, img, 1ULL << 31,
@@ -34,7 +32,7 @@ evaluatePhase(int phase_idx, const FeatureSet &isa,
               const MicroArchConfig &uarch, uint64_t timed_uops,
               const RunEnv &env)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = isa;
     uint64_t timed = timed_uops ? timed_uops : simUopBudget();
     std::shared_ptr<const PhaseArtifact> art =

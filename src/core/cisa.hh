@@ -44,7 +44,7 @@ namespace cisa
 struct PhaseRun
 {
     CodeStats code;          ///< static code properties
-    CompileReport passes;    ///< what the optimizer did
+    CompileReport passes;    ///< the compile's pass statistics
     DynStats mix;            ///< dynamic instruction mix
     PerfResult perf;         ///< timing
     EnergyBreakdown energy;  ///< energy by stage
@@ -61,8 +61,7 @@ struct PhaseRun
  * Stage 1 is memoized (phaseArtifact(), workloads/artifact.hh):
  * calls that share the phase, feature set and compile pipeline reuse
  * one compile and one functional run. Every field equals a fresh
- * build's except the wall clocks in `passes.passRuns`, which come
- * from the first build.
+ * build's bit for bit.
  *
  * @param timed_uops 0 selects the CISA_SIM_UOPS default
  */

@@ -9,7 +9,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -103,7 +102,6 @@ class Engine
         arrSeed_ = hashCombine(base, 1);
         benchSeed_ = hashCombine(base, 2);
         polSeed_ = hashCombine(base, 3);
-        parBatch_ = dcsimParBatch();
         closedLoop_ = cfg.rate <= 0;
     }
 
@@ -160,7 +158,6 @@ class Engine
     Cluster &cluster_;
 
     uint64_t arrSeed_, benchSeed_, polSeed_;
-    int parBatch_;
     bool closedLoop_;
 
     int nBench_ = 0;
@@ -298,6 +295,11 @@ Engine::commit(uint64_t t, const PlaceReq &rq, const uint8_t *rank)
     }
 }
 
+/** Smallest same-tick placement batch scored on the thread pool;
+ * smaller batches score inline on the event loop thread. Results
+ * are bit-identical either way. */
+constexpr size_t kParBatch = 64;
+
 void
 Engine::scoreAndCommit(uint64_t t)
 {
@@ -324,7 +326,7 @@ Engine::scoreAndCommit(uint64_t t)
         latBuf_[i] = uint32_t(std::min<uint64_t>(
             wallNs() - t0, ~uint32_t(0)));
     };
-    if (n >= size_t(parBatch_)) {
+    if (n >= kParBatch) {
         parallelFor(n, score1);
     } else {
         for (size_t i = 0; i < n; i++)

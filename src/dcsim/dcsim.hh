@@ -18,7 +18,7 @@
  * job interarrivals (open loop, exponential), benchmark draws, the
  * random policy's shuffles — is hash-keyed per (seed, index), never
  * a shared stream. Same-tick placement batches of at least
- * CISA_DCSIM_PAR_BATCH score in parallel on the PR 1 pool into
+ * kParBatch (dcsim.cc) score in parallel on the thread pool into
  * disjoint slots and commit serially in event order, so the
  * placement trace, every counter, and the summary JSON are
  * byte-identical at any CISA_THREADS and between the in-process and

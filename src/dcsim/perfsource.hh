@@ -70,14 +70,6 @@ class PerfSource
         uint64_t slabFetches = 0; ///< slabs pulled into the cache
         uint64_t remoteCalls = 0; ///< fleet requests issued
         uint64_t fetchNs = 0;     ///< wall time inside fetches
-        /** Fraction of cell lookups answered without pulling a slab. */
-        double hitRate() const
-        {
-            return cellLookups == 0
-                       ? 1.0
-                       : 1.0 - double(slabFetches) /
-                                   double(cellLookups);
-        }
     };
 
     Stats stats() const;

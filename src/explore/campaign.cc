@@ -56,7 +56,7 @@ Campaign::budgetKeyFor(uint64_t simUops, uint64_t warmupUops)
     // Results depend on the compile pipeline as much as on the
     // budget: slabs built by a different mid-end must never alias
     // in the store.
-    return hashCombine(h, CompileOptions::fromEnv().pipelineKey());
+    return hashCombine(h, CompileOptions{}.pipelineKey());
 }
 
 Campaign::Campaign()
@@ -306,7 +306,7 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     // traces/packed/streams precede the group, so an unwinding
     // exception drains the in-flight builds before their inputs and
     // outputs die.
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = fs;
     uint64_t record_cap = stage1RecordCap(timed);
     std::vector<Trace> traces(phases);

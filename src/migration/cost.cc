@@ -13,10 +13,9 @@ DowngradeCost
 measureDowngrade(int phase_idx, const FeatureSet &code_fs,
                  const FeatureSet &core_fs, const MicroArchConfig &ua)
 {
-    // Share the campaign's pipeline configuration (opt level, pass
-    // override, verify mode) so downgrade costs are measured on the
-    // same code the explorer scores.
-    CompileOptions opts = CompileOptions::fromEnv();
+    // The campaign's pipeline (the default options), so downgrade
+    // costs are measured on the same code the explorer scores.
+    CompileOptions opts;
     opts.target = code_fs;
     // Any reasonable scheduler keeps vector-heavy regions off
     // SIMD-less cores, so the downgrade experiment measures the

@@ -37,7 +37,7 @@ liveSlabPerf(int slab)
                                     u);
     };
     const VendorModel vm = pointOf(0).vendorModel();
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = pointOf(0).isa();
 
     std::vector<Trace> traces(phases);

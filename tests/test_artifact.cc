@@ -53,7 +53,7 @@ PhaseRun
 uncappedEvaluate(int phase_idx, const FeatureSet &isa,
                  const MicroArchConfig &uarch, uint64_t timed_uops)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = isa;
     CompileReport rep;
     IrModule ir;
@@ -88,7 +88,7 @@ DowngradeCost
 uncappedDowngrade(int phase_idx, const FeatureSet &code_fs,
                   const FeatureSet &core_fs, const MicroArchConfig &ua)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = code_fs;
     opts.enableVectorize &= code_fs.simd() && core_fs.simd();
     IrModule ir;
@@ -138,28 +138,11 @@ uncappedDowngrade(int phase_idx, const FeatureSet &code_fs,
     return out;
 }
 
-/** Everything but the pass wall clocks, which differ per build. */
-void
-expectSameReport(const CompileReport &a, const CompileReport &b)
-{
-    EXPECT_TRUE(sameBytes(a.lvn, b.lvn));
-    EXPECT_TRUE(sameBytes(a.vec, b.vec));
-    EXPECT_TRUE(sameBytes(a.ifc, b.ifc));
-    EXPECT_EQ(a.dceRemoved, b.dceRemoved);
-    EXPECT_EQ(a.blocksScheduled, b.blocksScheduled);
-    EXPECT_EQ(a.pipeline, b.pipeline);
-    ASSERT_EQ(a.passRuns.size(), b.passRuns.size());
-    for (size_t i = 0; i < a.passRuns.size(); i++) {
-        EXPECT_EQ(a.passRuns[i].name, b.passRuns[i].name);
-        EXPECT_EQ(a.passRuns[i].changed, b.passRuns[i].changed);
-    }
-}
-
 void
 expectSameRun(const PhaseRun &a, const PhaseRun &b)
 {
     EXPECT_TRUE(sameBytes(a.code, b.code));
-    expectSameReport(a.passes, b.passes);
+    EXPECT_TRUE(sameBytes(a.passes, b.passes));
     EXPECT_TRUE(sameBytes(a.mix, b.mix));
     EXPECT_TRUE(sameBytes(a.perf.stats, b.perf.stats));
     EXPECT_TRUE(sameBytes(a.perf.ipc, b.perf.ipc));
@@ -184,7 +167,7 @@ TEST(Artifact, ImageTemplateMatchesTransformedIr)
     for (int ph = 0; ph < phaseCount(); ph++) {
         for (const auto &sets : by_width) {
             const FeatureSet &fs = sets[size_t(ph) % sets.size()];
-            CompileOptions opts = CompileOptions::fromEnv();
+            CompileOptions opts;
             opts.target = fs;
             IrModule ir;
             compile(phaseModule(ph), opts, nullptr, &ir);
@@ -202,7 +185,7 @@ TEST(Artifact, ImageTemplateMatchesTransformedIr)
 
 TEST(Artifact, CappedTraceIsThePrefixOfTheFullRun)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = FeatureSet::x86_64();
     uint64_t cap = stage1RecordCap();
     PhaseArtifact capped = buildPhaseArtifact(5, opts, cap);
@@ -285,7 +268,7 @@ TEST(Artifact, DowngradeMatchesUncappedPath)
 TEST(Artifact, ConcurrentCallersShareOneBuild)
 {
     // LVN-off keys no other test asks for.
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.enableLvn = false;
     opts.target = FeatureSet::byId(3);
     constexpr int kThreads = 8;
@@ -315,7 +298,7 @@ TEST(Artifact, ConcurrentCallersShareOneBuild)
 
 TEST(Artifact, MemoKeepsTheMostRecentKeys)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.enableSchedule = false; // keys of this test only
     opts.target = FeatureSet::byId(0);
     uint64_t before = phaseArtifactBuilds();
@@ -336,7 +319,7 @@ TEST(Artifact, MemoKeepsTheMostRecentKeys)
 
 TEST(Exec, RunawayGuardTripsCappedRuns)
 {
-    CompileOptions opts = CompileOptions::fromEnv();
+    CompileOptions opts;
     opts.target = FeatureSet::x86_64();
     MachineProgram prog = compile(phaseModule(0), opts);
     const MemImage &tmpl = phaseImage(0, 64);

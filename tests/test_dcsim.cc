@@ -2,7 +2,7 @@
  * @file
  * Tests of the datacenter-scale discrete-event scheduler: the
  * determinism contract (bit-identical placement traces and summary
- * JSON at any thread count and any parallel-batch threshold),
+ * JSON at any thread count, with serial and parallel scoring),
  * conservation invariants (every job placed once per phase, tiles
  * never oversubscribed, the wait queue only forms at saturation),
  * and the policy/baseline machinery the scale bench relies on.
@@ -12,9 +12,7 @@
 #include <cstdlib>
 
 // Must run before any Campaign::get() in this process. The tiny
-// budget keeps slab computation to seconds; the low parallel-batch
-// threshold makes even small test runs take the parallel scoring
-// path under the thread limits the tests impose.
+// budget keeps slab computation to seconds.
 namespace
 {
 struct EnvSetup
@@ -25,7 +23,6 @@ struct EnvSetup
         setenv("CISA_SIM_WARMUP", "200", 1);
         setenv("CISA_DSE_CACHE", "/tmp/cisa_dcsim_test_cache.bin",
                1);
-        setenv("CISA_DCSIM_PAR_BATCH", "4", 1);
         std::remove("/tmp/cisa_dcsim_test_cache.bin");
         std::remove("/tmp/cisa_dcsim_test_cache.bin.corrupt");
     }
@@ -59,7 +56,12 @@ smallConfig()
 
 TEST(Dcsim, ByteIdenticalAtAnyThreadCount)
 {
+    // 96 closed-loop cores place 96 jobs at tick 0: a batch of at
+    // least kParBatch (64, dcsim.cc), which the 2- and 4-thread runs
+    // score on the pool, while later, smaller batches take the
+    // serial loop in every run.
     DcsimConfig cfg = smallConfig();
+    cfg.cores = 96;
     std::string json[3];
     int threads[3] = {1, 2, 4};
     for (int i = 0; i < 3; i++) {
@@ -70,20 +72,6 @@ TEST(Dcsim, ByteIdenticalAtAnyThreadCount)
     }
     EXPECT_EQ(json[0], json[1]);
     EXPECT_EQ(json[0], json[2]);
-}
-
-TEST(Dcsim, SerialAndParallelScoringAgree)
-{
-    DcsimConfig cfg = smallConfig();
-    PerfSource src;
-    // Batch threshold far above any batch size: all-serial scoring.
-    setenv("CISA_DCSIM_PAR_BATCH", "1000000", 1);
-    std::string serial = dcsimJson(runDcsim(cfg, src));
-    // Threshold 2: essentially every batch scores on the pool.
-    setenv("CISA_DCSIM_PAR_BATCH", "2", 1);
-    std::string parallel = dcsimJson(runDcsim(cfg, src));
-    setenv("CISA_DCSIM_PAR_BATCH", "4", 1);
-    EXPECT_EQ(serial, parallel);
 }
 
 TEST(Dcsim, ConservationInvariants)

@@ -1,15 +1,18 @@
 /**
  * @file
  * The compiler's correctness oracle: for every viable feature set,
- * compile every workload phase-family representative and check that
- * machine execution reproduces the IR interpreter's observable
- * result exactly (integer checksum, return value) and the FP store
- * sum bit-for-bit (vectorization keeps per-element operations exact;
- * reductions are compared against the *transformed* IR, which shares
- * the vector association).
+ * compile every workload phase-family representative (and, with each
+ * enable flag cleared in turn, one representative per feature set)
+ * and check that machine execution reproduces the IR interpreter's
+ * observable result exactly (integer checksum, return value) and the
+ * FP store sum bit-for-bit (vectorization keeps per-element
+ * operations exact; reductions are compared against the
+ * *transformed* IR, which shares the vector association).
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "compiler/compiler.hh"
 #include "compiler/exec.hh"
@@ -35,10 +38,23 @@ representativePhases()
     return idx;
 }
 
+/** The enable flags a case can clear, with their case-name tags. */
+struct Gate
+{
+    const char *name;
+    bool CompileOptions::*flag;
+};
+const Gate kGates[] = {
+    {"lvn", &CompileOptions::enableLvn},
+    {"vectorize", &CompileOptions::enableVectorize},
+    {"ifconvert", &CompileOptions::enableIfConvert},
+    {"schedule", &CompileOptions::enableSchedule}};
+
 struct EquivCase
 {
     int featureId;
     int phase;
+    int cleared; ///< index into kGates, or -1 for the defaults
 };
 
 class EquivTest : public ::testing::TestWithParam<EquivCase>
@@ -56,6 +72,8 @@ TEST_P(EquivTest, MachineMatchesIr)
 
     CompileOptions opts;
     opts.target = fs;
+    if (c.cleared >= 0)
+        opts.*kGates[c.cleared].flag = false;
     IrModule transformed;
     MachineProgram prog = compile(m, opts, nullptr, &transformed);
 
@@ -79,9 +97,16 @@ std::vector<EquivCase>
 allCases()
 {
     std::vector<EquivCase> cases;
+    std::vector<int> reps = representativePhases();
     for (int f = 0; f < FeatureSet::count(); f++) {
-        for (int p : representativePhases())
-            cases.push_back({f, p});
+        for (int p : reps)
+            cases.push_back({f, p, -1});
+    }
+    // One flag cleared: every feature set, the phase rotating over
+    // the representatives.
+    for (int g = 0; g < int(std::size(kGates)); g++) {
+        for (int f = 0; f < FeatureSet::count(); f++)
+            cases.push_back({f, reps[size_t(f + g) % reps.size()], g});
     }
     return cases;
 }
@@ -92,6 +117,8 @@ caseName(const ::testing::TestParamInfo<EquivCase> &info)
     FeatureSet fs = FeatureSet::byId(info.param.featureId);
     std::string n = fs.name() + "_" +
                     allPhases()[size_t(info.param.phase)].name();
+    if (info.param.cleared >= 0)
+        n += std::string("_no_") + kGates[info.param.cleared].name;
     for (auto &ch : n) {
         if (ch == '-' || ch == '.')
             ch = '_';
