@@ -198,15 +198,5 @@ singleThreadSweep(const std::vector<double> &budgets,
     return {std::move(times), std::move(edps)};
 }
 
-void
-printNormalizedRow(Table &t, const std::string &label,
-                   const std::vector<double> &values, double baseline)
-{
-    std::vector<std::string> row = {label};
-    for (double v : values)
-        row.push_back(Table::num(v / baseline, 3));
-    t.row(row);
-}
-
 } // namespace benchutil
 } // namespace cisa

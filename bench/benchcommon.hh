@@ -54,8 +54,10 @@ struct ConstrainedCase
 /** The ten feature-constraint cases of Figure 9. */
 std::vector<ConstrainedCase> featureConstraints();
 
-/** Search result cacheable across the 9/10/11 benches (in-process
- * deterministic: same seed -> same design). */
+/** The Figure 9/10/11 search for @p c: CompositeFull for
+ * multiprogrammed throughput under a 48 mm^2 budget, seed 2019. Each
+ * bench runs its own searches; the same case always yields the same
+ * design. */
 SearchResult constrainedSearch(const ConstrainedCase &c);
 
 /** Figures 7 and 8, per family and budget: the summed single-thread
@@ -72,11 +74,6 @@ struct StSweep
  * homogeneous design, with budget columns labelled in @p unit. */
 StSweep singleThreadSweep(const std::vector<double> &budgets,
                           Budget (*make)(double), const char *unit);
-
-/** Print one row of normalized bars. */
-void printNormalizedRow(Table &t, const std::string &label,
-                        const std::vector<double> &values,
-                        double baseline);
 
 } // namespace benchutil
 } // namespace cisa

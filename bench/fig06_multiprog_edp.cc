@@ -101,8 +101,6 @@ sweep(const char *title, const std::vector<double> &budgets,
                 100.0 * e_gain / std::max(1, n));
 
     if (is_power) {
-        // Table IV shares Figure 5's printer via benchcommon? It is
-        // small enough to print inline here.
         Table tt("Table IV: composite-ISA multicores optimized for "
                  "multiprogrammed efficiency (EDP)");
         tt.header({"budget", "core", "feature set", "uarch"});

@@ -1,10 +1,13 @@
 #!/bin/sh
 # Fleet smoke test: two cisa_serve workers on TCP loopback behind a
 # cisa_router, with a short mixed load pushed through the router by
-# cisa_loadgen — zero lost requests required. Seconds-scale at the
-# tiny default simulation budget, and sanitizer-friendly: the fleet
-# is real processes wired by --print-address files, so ASan/TSan/
-# UBSan builds run it unchanged (no in-process forking).
+# cisa_loadgen — zero lost requests required. First, each count flag
+# (cisa_router --replicas, cisa_fleetd --workers, cisa_loadgen
+# --conns) must refuse a malformed or out-of-range value with exit 2
+# before its tool binds, forks or starts a thread. Seconds-scale at
+# the tiny default simulation budget, and sanitizer-friendly: the
+# fleet is real processes wired by --print-address files, so
+# ASan/TSan/UBSan builds run it unchanged (no in-process forking).
 #
 # Registered with ctest as fleet_smoke (tests/CMakeLists.txt).
 #
@@ -20,8 +23,9 @@ esac
 
 serve="$bin/tools/cisa_serve"
 router="$bin/tools/cisa_router"
+fleetd="$bin/tools/cisa_fleetd"
 loadgen="$bin/tools/cisa_loadgen"
-for b in "$serve" "$router" "$loadgen"; do
+for b in "$serve" "$router" "$fleetd" "$loadgen"; do
     if [ ! -x "$b" ]; then
         echo "error: $b not built (cmake --build)" >&2
         exit 1
@@ -44,6 +48,37 @@ cleanup() {
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
+
+# Rejections: only zero, negative and malformed values, so a tool
+# that wrongly accepted one would start small (and be stopped by the
+# timeout). test_common checks the upper bounds on the parser.
+# Usage: refuse TOOL FLAG VALUE [ARGS...]
+refuse() {
+    tool="$1" flag="$2" value="$3"
+    shift 3
+    set +e
+    timeout 20 "$tool" "$@" "$flag" "$value" --address 127.0.0.1:0 \
+        --print-address "$tmp/bad" >"$tmp/bad.log" 2>&1
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ] || [ -e "$tmp/bad" ] ||
+        ! grep -qF -- "$flag: '$value' is not an integer" "$tmp/bad.log"; then
+        echo "error: '$tool $flag $value' exited $rc" \
+            "(want 2, nothing bound, the flag named)" >&2
+        cat "$tmp/bad.log" >&2
+        exit 1
+    fi
+}
+refuse "$router" --replicas 0 --worker 127.0.0.1:1
+refuse "$router" --replicas 12x --worker 127.0.0.1:1
+refuse "$fleetd" --workers 0 --dir "$tmp/fleetd"
+refuse "$fleetd" --workers -2 --dir "$tmp/fleetd"
+refuse "$loadgen" --conns 0 --count 1
+refuse "$loadgen" --conns x --count 1
+[ ! -e "$tmp/fleetd" ] || {
+    echo "error: cisa_fleetd acted on a refused flag" >&2
+    exit 1
+}
 
 wait_addr() {
     i=0

@@ -33,11 +33,10 @@ test_compile_units test_artifact test_parallel test_uarch"
 
 run_config() {
     name="$1"
-    opt="$2"
     dir="$root/build-$name"
-    echo "=== $name: cmake -D$opt=ON ==="
+    echo "=== $name: cmake -DCISA_SANITIZE=$name ==="
     mkdir -p "$dir"
-    cmake -S "$root" -B "$dir" -D"$opt"=ON \
+    cmake -S "$root" -B "$dir" -DCISA_SANITIZE="$name" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >"$dir/configure.log" \
         2>&1 || {
         cat "$dir/configure.log" >&2
@@ -55,8 +54,8 @@ run_config() {
     done
 }
 
-run_config asan CISA_ENABLE_ASAN
-run_config ubsan CISA_ENABLE_UBSAN
-run_config tsan CISA_ENABLE_TSAN
+run_config asan
+run_config ubsan
+run_config tsan
 
 echo "san tests: ok (asan+ubsan, ubsan, tsan)"

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include <sys/stat.h>
@@ -11,36 +12,37 @@
 namespace cisa
 {
 
-namespace
-{
-
-/**
- * Strict base-10 parse of an env value. Accepts surrounding
- * whitespace and a sign; rejects empty digits, trailing junk, and
- * out-of-int64 magnitudes (ERANGE). Returns false when @p out is
- * untouched.
- */
 bool
-parseInt(const char *v, int64_t *out)
+parseIntIn(const char *s, int64_t lo, int64_t hi, int64_t *out)
 {
-    while (std::isspace(static_cast<unsigned char>(*v)))
-        v++;
-    if (!*v)
+    while (std::isspace(static_cast<unsigned char>(*s)))
+        s++;
+    if (!*s)
         return false;
     errno = 0;
     char *end = nullptr;
-    long long n = std::strtoll(v, &end, 10);
-    if (end == v || errno == ERANGE)
+    long long n = std::strtoll(s, &end, 10);
+    if (end == s || errno == ERANGE)
         return false;
     while (std::isspace(static_cast<unsigned char>(*end)))
         end++;
-    if (*end)
+    if (*end || n < lo || n > hi)
         return false;
     *out = n;
     return true;
 }
 
-} // namespace
+int
+flagIntIn(const char *flag, const char *v, int lo, int hi)
+{
+    int64_t n;
+    if (!parseIntIn(v, lo, hi, &n)) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [%d, %d]\n",
+                     flag, v, lo, hi);
+        std::exit(2);
+    }
+    return int(n);
+}
 
 int64_t
 envInt(const char *name, int64_t dflt)
@@ -49,7 +51,7 @@ envInt(const char *name, int64_t dflt)
     if (!v || !*v)
         return dflt;
     int64_t n;
-    if (!parseInt(v, &n)) {
+    if (!parseIntIn(v, INT64_MIN, INT64_MAX, &n)) {
         warn("%s=\"%s\" is not an integer; using default %lld", name,
              v, (long long)dflt);
         return dflt;
@@ -64,15 +66,10 @@ envIntRange(const char *name, int64_t dflt, int64_t lo, int64_t hi)
     if (!v || !*v)
         return dflt;
     int64_t n;
-    if (!parseInt(v, &n)) {
-        warn("%s=\"%s\" is not an integer; using default %lld", name,
-             v, (long long)dflt);
-        return dflt;
-    }
-    if (n < lo || n > hi) {
-        warn("%s=%lld is outside [%lld, %lld]; using default %lld",
-             name, (long long)n, (long long)lo, (long long)hi,
-             (long long)dflt);
+    if (!parseIntIn(v, lo, hi, &n)) {
+        warn("%s=\"%s\" is not an integer in [%lld, %lld]; using "
+             "default %lld",
+             name, v, (long long)lo, (long long)hi, (long long)dflt);
         return dflt;
     }
     return n;
@@ -154,45 +151,9 @@ serveSocketPath()
 }
 
 int
-serveQueueBound()
-{
-    return int(envIntRange("CISA_SERVE_QUEUE", 64, 1, 1 << 20));
-}
-
-int
-serveWorkers()
-{
-    return int(envIntRange("CISA_SERVE_WORKERS", 2, 1, 256));
-}
-
-int
-serveCacheEntries()
-{
-    return int(envIntRange("CISA_SERVE_CACHE", 256, 0, 1 << 20));
-}
-
-int
-serveMaxConns()
-{
-    return int(envIntRange("CISA_SERVE_MAX_CONNS", 256, 1, 1 << 20));
-}
-
-int
 clientRetries()
 {
     return int(envIntRange("CISA_CLIENT_RETRIES", 0, 0, 100));
-}
-
-int
-routerReplicas()
-{
-    return int(envIntRange("CISA_ROUTER_REPLICAS", 2, 1, 64));
-}
-
-int
-routerHealthMs()
-{
-    return int(envIntRange("CISA_ROUTER_HEALTH_MS", 250, 10, 60000));
 }
 
 int

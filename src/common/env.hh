@@ -18,6 +18,15 @@
  * batch at which cisa-dcsim scores on the pool (dcsim.cc). The
  * compiler reads no knob: its callers set its options, and it checks
  * the IR after every pass.
+ *
+ * The same holds for flags. The service sizes (queue bound,
+ * dispatchers, cached frames, connection cap, replicas, health
+ * period) are fields of the service Options, which hold their
+ * defaults; tests set the fields directly. Only the counts a script
+ * or bench passes are flags: cisa_router --replicas, cisa_fleetd
+ * --workers and cisa_loadgen --conns, each read by flagIntIn(). The
+ * service address alone also has an environment default
+ * (CISA_SERVE_SOCKET).
  */
 
 #ifndef CISA_COMMON_ENV_HH
@@ -28,6 +37,24 @@
 
 namespace cisa
 {
+
+/**
+ * Strict base-10 integer parse, shared by the knobs below and the
+ * tools' integer flags: the whole of @p s must be one integer in
+ * [lo, hi] (surrounding whitespace and a sign allowed). Rejects empty
+ * digits, trailing junk and magnitudes beyond int64_t (ERANGE), then
+ * anything outside the inclusive bounds. False leaves @p out
+ * untouched.
+ */
+bool parseIntIn(const char *s, int64_t lo, int64_t hi, int64_t *out);
+
+/**
+ * A tool's integer flag: the value @p v of @p flag, in [lo, hi].
+ * Anything parseIntIn() refuses prints "flag: 'v' is not an integer
+ * in [lo, hi]" and exits 2, before the tool binds, forks or starts a
+ * thread.
+ */
+int flagIntIn(const char *flag, const char *v, int lo, int hi);
 
 /**
  * Integer env var with a default. The whole value must parse as a
@@ -84,39 +111,13 @@ bool batchSimdEnabled();
 /** Hill-climbing restarts in the multicore search. */
 int searchRestarts();
 
-/** UNIX-domain socket path of the cisa-serve daemon. */
+/** Default address of the cisa-serve daemon and router: a UNIX
+ * socket path or TCP host:port (CISA_SERVE_SOCKET). */
 std::string serveSocketPath();
-
-/** Bound on queued (not yet running) service requests; a full queue
- * answers BUSY instead of buffering without limit. */
-int serveQueueBound();
-
-/** Dispatcher threads draining the service queue (each request then
- * fans its own work out over the CISA_THREADS pool). */
-int serveWorkers();
-
-/** Encoded response frames the daemon's response cache keeps (0
- * turns the cache off; coalescing of in-flight duplicates is always
- * on). */
-int serveCacheEntries();
-
-/** Bound on simultaneously-served connections; an accept beyond it
- * is answered with one BUSY frame and closed instead of spawning an
- * unbounded connection thread (CISA_SERVE_MAX_CONNS). */
-int serveMaxConns();
 
 /** Bounded client retries on BUSY responses and connect/transport
  * failure (CISA_CLIENT_RETRIES, default 0 = fail fast). */
 int clientRetries();
-
-/** Replication factor of the router's consistent-hash ring: how
- * many workers own (and may serve) each slab key
- * (CISA_ROUTER_REPLICAS). */
-int routerReplicas();
-
-/** Router health-check period in milliseconds
- * (CISA_ROUTER_HEALTH_MS). */
-int routerHealthMs();
 
 /** Supervisor: base restart backoff in milliseconds after a worker
  * death (CISA_SUPERVISE_BACKOFF_MS); doubles per consecutive

@@ -116,12 +116,6 @@ Liveness::isLiveIn(int block, int vreg) const
     return getBit(liveIn[size_t(block)], vreg);
 }
 
-bool
-Liveness::isLiveOut(int block, int vreg) const
-{
-    return getBit(liveOut[size_t(block)], vreg);
-}
-
 Liveness
 Liveness::build(const IrFunction &f, const Cfg &cfg)
 {

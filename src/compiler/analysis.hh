@@ -43,7 +43,6 @@ struct Liveness
     int numVregs = 0;
 
     bool isLiveIn(int block, int vreg) const;
-    bool isLiveOut(int block, int vreg) const;
 
     /**
      * Maximum number of simultaneously-live vregs inside a block

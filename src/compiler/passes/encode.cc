@@ -31,10 +31,6 @@ runEncode(MachineProgram &prog)
     // Iterate layout until branch displacement sizes stabilize.
     // Everything starts optimistic (rel8) and only grows, so this
     // converges; we cap the loop defensively.
-    struct BrSize
-    {
-        std::vector<std::vector<uint8_t>> immBytes; // [func][instr]
-    };
 
     // Per-function, per-instruction branch-displacement widths.
     std::vector<std::vector<uint8_t>> brw(prog.funcs.size());

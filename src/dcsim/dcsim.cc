@@ -75,8 +75,10 @@ wallNs()
             .count());
 }
 
-/** Approximate percentile from a log2-bucketed histogram: the upper
- * bound of the bucket holding the rank. */
+/** Approximate percentile from a log2-bucketed histogram whose
+ * bucket b holds [2^b, 2^(b+1)) ns: the lower edge 2^b of the bucket
+ * holding the rank (the service's percentileUs reports upper edges
+ * instead). */
 uint64_t
 histPercentile(const uint64_t (&h)[64], uint64_t total, double p)
 {

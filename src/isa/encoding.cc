@@ -84,23 +84,6 @@ x86EncodedLength(const EncInfo &e)
 }
 
 int
-alphaEncodedLength(const EncInfo &e)
-{
-    (void)e;
-    return 4;
-}
-
-int
-thumbEncodedLength(const EncInfo &e)
-{
-    // Compact 16-bit form: low 8 registers, tiny immediates, no
-    // displacement. Anything else takes the 32-bit form.
-    bool compact = e.maxGpr < 8 && e.immBytes <= 1 &&
-                   e.dispBytes <= 1 && !e.w64 && !isSimdOp(e.op);
-    return compact ? 2 : 4;
-}
-
-int
 dispBytesFor(long long disp)
 {
     if (disp == 0)

@@ -51,16 +51,6 @@ int opcodeBytes(Op op);
 /** Encoded length in bytes under the superset/x86 encoding. */
 int x86EncodedLength(const EncInfo &e);
 
-/** Encoded length on the fixed-length Alpha-like vendor ISA. */
-int alphaEncodedLength(const EncInfo &e);
-
-/**
- * Encoded length on the Thumb-like vendor ISA: 2 bytes for compact
- * forms, 4 when immediates/displacements/registers exceed the short
- * encoding.
- */
-int thumbEncodedLength(const EncInfo &e);
-
 /** Displacement field size for a byte offset. */
 int dispBytesFor(long long disp);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/env.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -37,12 +36,12 @@ class Executor::Job
 
 Executor::Executor(const Options &opts)
     : handler_(opts.handler),
-      bound_(opts.queueBound > 0 ? size_t(opts.queueBound)
-                                 : size_t(serveQueueBound()))
+      bound_(size_t(opts.queueBound))
 {
-    int n = opts.workers > 0 ? opts.workers : serveWorkers();
-    workers_.reserve(size_t(n));
-    for (int i = 0; i < n; i++)
+    panic_if(opts.queueBound < 1 || opts.workers < 1,
+             "executor needs a queue bound and a dispatcher");
+    workers_.reserve(size_t(opts.workers));
+    for (int i = 0; i < opts.workers; i++)
         workers_.emplace_back([this] { workerLoop(); });
 }
 

@@ -73,8 +73,8 @@ class Executor
 
     struct Options
     {
-        int queueBound = 0;         ///< 0 = CISA_SERVE_QUEUE
-        int workers = 0;            ///< 0 = CISA_SERVE_WORKERS
+        int queueBound = 64; ///< queued jobs before BUSY, >= 1
+        int workers = 2;     ///< dispatcher threads, >= 1
         Handler handler = dispatch;
     };
 

@@ -49,7 +49,7 @@ Listener::start(const std::string &address, int maxConns,
                 std::string *err)
 {
     panic_if(started_, "%s started twice", name_);
-    maxConns_ = size_t(maxConns > 0 ? maxConns : serveMaxConns());
+    maxConns_ = size_t(maxConns);
     listenFd_ = listenOn(address.empty() ? serveSocketPath() : address,
                          kBacklog, &bound_, err);
     if (listenFd_ < 0)

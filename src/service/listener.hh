@@ -74,8 +74,8 @@ class Listener
     /**
      * Bind @p address (empty = CISA_SERVE_SOCKET), listen with a
      * backlog of 64, and start accepting up to @p maxConns live
-     * connections (0 = CISA_SERVE_MAX_CONNS). False (with @p err) if
-     * the socket can't be set up.
+     * connections. False (with @p err) if the socket can't be set
+     * up.
      */
     bool start(const std::string &address, int maxConns,
                std::string *err);

@@ -5,7 +5,6 @@
 
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "service/address.hh"
@@ -39,10 +38,9 @@ Router::Router(const Options &opts)
                     return answer(fd, req, deadline_ms, reqWire);
                 })
 {
-    if (opts_.replicas <= 0)
-        opts_.replicas = routerReplicas();
-    if (opts_.healthMs <= 0)
-        opts_.healthMs = routerHealthMs();
+    panic_if(opts.replicas < 1 || opts.healthMs < 1 || opts.maxConns < 1,
+             "router needs a replica, a health period and a connection "
+             "cap");
     ring_ = ShardRing(opts_.workers);
     // Worker slots must line up with ring indices, so build them
     // from the ring's canonicalized (sorted, deduped) address list.

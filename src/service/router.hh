@@ -76,9 +76,9 @@ class Router
         std::string address;
         /** Worker daemon addresses (at least one). */
         std::vector<std::string> workers;
-        int replicas = 0; ///< 0 = CISA_ROUTER_REPLICAS
-        int healthMs = 0; ///< 0 = CISA_ROUTER_HEALTH_MS
-        int maxConns = 0; ///< 0 = CISA_SERVE_MAX_CONNS
+        int replicas = 2;   ///< replica set size per routing key
+        int healthMs = 250; ///< down-worker re-probe period, ms
+        int maxConns = 256; ///< live client connections
         /** Called on every fleetStats() roll-up so an embedding
          * process (cisa_fleetd) can graft its own counters —
          * supervisor restarts, crash loops — into the snapshot. */

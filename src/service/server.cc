@@ -1,6 +1,5 @@
 #include "service/server.hh"
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "service/frame.hh"
 
@@ -9,15 +8,17 @@ namespace cisa
 
 Server::Server(const Options &opts)
     : opts_(opts),
-      wireCap_(opts.cacheEntries >= 0 ? size_t(opts.cacheEntries)
-                                      : size_t(serveCacheEntries())),
+      wireCap_(size_t(opts.cacheEntries)),
       exec_(std::make_unique<Executor>(cachingOptions(opts.exec))),
       listener_("cisa-serve", exec_->metrics(),
                 [this](int fd, const Request &req, uint32_t deadline_ms,
                        const std::vector<uint8_t> &reqWire) {
                     return answer(fd, req, deadline_ms, reqWire);
                 })
-{}
+{
+    panic_if(opts.cacheEntries < 0 || opts.maxConns < 1,
+             "server needs a cache size >= 0 and a connection cap");
+}
 
 Server::~Server()
 {

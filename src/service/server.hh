@@ -7,12 +7,12 @@
  * Backpressure is end-to-end: when the executor's queue is at its
  * bound the response is an immediate BUSY frame — the server never
  * buffers requests beyond the bound, so a flood cannot grow memory
- * without limit. The listener's CISA_SERVE_MAX_CONNS shed does the
- * same one layer down.
+ * without limit. The listener's connection cap (Options::maxConns)
+ * does the same one layer down.
  *
  * Response cache: the daemon's only one. Cacheable Ok responses are
  * kept as fully encoded frames (header + checksum + payload) in a
- * bounded LRU keyed by request fingerprint (CISA_SERVE_CACHE
+ * bounded LRU keyed by request fingerprint (Options::cacheEntries
  * entries; 0 turns it off). A repeat request is answered by writing
  * those bytes verbatim — no executor round-trip, no re-encode, and
  * above all no second checksum pass over a ~140 KiB slab payload,
@@ -60,8 +60,8 @@ class Server
          * empty = CISA_SERVE_SOCKET. TCP "host:0" binds a
          * kernel-assigned port, reported by boundAddress(). */
         std::string address;
-        int maxConns = 0; ///< 0 = CISA_SERVE_MAX_CONNS
-        int cacheEntries = -1; ///< -1 = CISA_SERVE_CACHE
+        int maxConns = 256;     ///< live connections, >= 1
+        int cacheEntries = 256; ///< cached response frames, 0 = off
         Executor::Options exec;
     };
 

@@ -44,8 +44,6 @@ class ShardRing
     ShardRing() = default;
     explicit ShardRing(const std::vector<std::string> &workers);
 
-    size_t workerCount() const { return workers_.size(); }
-
     /** Sorted, deduplicated worker addresses; ownersOf indices
      * point into this vector. */
     const std::vector<std::string> &workers() const
@@ -58,7 +56,7 @@ class ShardRing
 
     /**
      * The replica set of @p key: its primary owner followed by the
-     * next distinct workers clockwise, min(replicas, workerCount())
+     * next distinct workers clockwise, min(replicas, workers().size())
      * entries, deterministic for a given worker set.
      */
     std::vector<size_t> ownersOf(uint64_t key, int replicas) const;

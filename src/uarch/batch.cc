@@ -342,7 +342,7 @@ stepTileSimd(BatchChunk &c, const SharedStep *tile, size_t L,
     const __m512i v1 = _mm512_set1_epi32(1);
     const __m512i v6 = _mm512_set1_epi32(6);
     const __m512i vIld = _mm512_set1_epi32(kIldBytesPerCycle);
-    const __m512i vDispLat = _mm512_set1_epi32(OoO ? 8 : 5);
+    const __m512i vDispLat = _mm512_set1_epi32(frontendDepth(OoO));
     const __m512i vW = _mm512_load_si512(c.W);
     const __m512i vWm1 = _mm512_load_si512(c.Wm1);
     const __m512i vDbw = _mm512_load_si512(c.dbw);

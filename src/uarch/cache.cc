@@ -97,10 +97,8 @@ MemSystem::dataAccess(uint64_t addr, bool write)
     // Miss-triggered next-line prefetch: streaming workloads (lbm)
     // hide most of their spatial misses behind it.
     uint64_t next = addr + 64;
-    if (!l1d_.access(next, false)) {
-        prefetches_++;
+    if (!l1d_.access(next, false))
         missPath(next, false);
-    }
     return lat;
 }
 

@@ -24,11 +24,6 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t writebacks = 0;
-
-    double missRate() const
-    {
-        return accesses ? double(misses) / double(accesses) : 0.0;
-    }
 };
 
 /** One set-associative cache level. */
@@ -51,7 +46,6 @@ class Cache
     bool access(uint64_t addr, bool write);
 
     const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = {}; }
 
   private:
     struct Line
@@ -93,7 +87,6 @@ class MemSystem
     const CacheStats &l1d() const { return l1d_.stats(); }
     const CacheStats &l2() const { return l2_.stats(); }
     uint64_t memAccesses() const { return memAccesses_; }
-    uint64_t prefetches() const { return prefetches_; }
 
     // Latency parameters (cycles).
     static constexpr int kL1HitLat = 2;
@@ -108,7 +101,6 @@ class MemSystem
     Cache l2_;
     int memLat_;
     uint64_t memAccesses_ = 0;
-    uint64_t prefetches_ = 0;
 };
 
 } // namespace cisa

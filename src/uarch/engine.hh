@@ -141,6 +141,15 @@ decodeBandwidthFor(const CoreConfig &cfg)
     return bw;
 }
 
+/** Fetch-to-dispatch depth in cycles, deeper on out-of-order cores.
+ * Shared by Engine and the batched lockstep kernel, like
+ * decodeBandwidthFor. */
+constexpr int
+frontendDepth(bool ooo)
+{
+    return ooo ? 8 : 5;
+}
+
 /** Store-buffer coverage: the buffered store fully covers the load. */
 inline bool
 sbCovers(uint64_t sb_addr, uint8_t sb_size, uint64_t maddr,
@@ -357,8 +366,6 @@ struct Engine
           commitBudget(c.uarch.width)
     {}
 
-    int frontendDepth() const { return cfg.uarch.outOfOrder ? 8 : 5; }
-
     /** Non-template entry point (tests, one-off cells). */
     void
     step(const StepIn &in)
@@ -376,9 +383,6 @@ struct Engine
         fetchByteBudget = kIldBytesPerCycle;
         fetchUopBudget = uop_bw;
     }
-
-    /** Decode bandwidth in uops/cycle on the non-uop-cache path. */
-    int decodeBandwidth() const { return decodeBandwidthFor(cfg); }
 
     template <bool OoO>
     uint64_t
@@ -453,7 +457,7 @@ struct Engine
             if (uc_hit)
                 st.uopCacheHits++;
         }
-        int uop_bw = uc_hit ? 6 : decodeBandwidth();
+        int uop_bw = uc_hit ? 6 : decodeBandwidthFor(cfg);
 
         // Macro fusion: a conditional branch directly following a
         // flag-writing single-uop ALU op shares its slot.
@@ -499,8 +503,9 @@ struct Engine
         }
 
         // ---- Dispatch (rename + window allocation) ----
-        uint64_t disp = std::max(dispatchCycle,
-                                 fetchCycle + uint64_t(OoO ? 8 : 5));
+        uint64_t disp =
+            std::max(dispatchCycle,
+                     fetchCycle + uint64_t(frontendDepth(OoO)));
         int mem_slots = ((bits & kOpReadsMem) ? 1 : 0) +
                         ((bits & kOpWritesMem) ? 1 : 0) +
                         ((bits & kOpPredFalse) && (bits & kOpHasMem)

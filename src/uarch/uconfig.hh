@@ -64,9 +64,6 @@ struct MicroArchConfig
     int l2KB = 4096;         ///< shared, 4-banked
     int l2Assoc = 4;
 
-    /** Branch misprediction redirect penalty in cycles. */
-    int mispredictPenalty() const { return outOfOrder ? 14 : 8; }
-
     /** Compact id string, e.g. "ooo2-T-iq64-rob128-...". */
     std::string name() const;
 

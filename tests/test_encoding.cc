@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the variable-length encoding model: prefix costs of
- * REXBC registers and predication, displacement/immediate sizing,
- * and the vendor fixed-length encoders.
+ * REXBC registers and predication, and displacement/immediate
+ * sizing. Vendor code density is VendorModel::codeSizeFactor, not
+ * an encoder.
  */
 
 #include <gtest/gtest.h>
@@ -110,18 +111,6 @@ TEST(Encoding, WithinSupersetLimit)
     int len = x86EncodedLength(e);
     EXPECT_LE(len, kSupersetMaxLen);
     EXPECT_GT(len, kX86MaxLen); // genuinely uses the extension room
-}
-
-TEST(Encoding, VendorFixedLengths)
-{
-    EncInfo e = basicAdd();
-    EXPECT_EQ(alphaEncodedLength(e), 4);
-    EXPECT_EQ(thumbEncodedLength(e), 2); // compact form
-    e.maxGpr = 12;
-    EXPECT_EQ(thumbEncodedLength(e), 4); // high register
-    e.maxGpr = 3;
-    e.immBytes = 4;
-    EXPECT_EQ(thumbEncodedLength(e), 4); // wide immediate
 }
 
 } // namespace

@@ -5,8 +5,9 @@
  * range, fewer items than threads, full coverage, exception
  * propagation, nesting), the task-queue API, and byte-identical
  * slab computation across thread counts. The ctest suite runs this
- * binary under CISA_THREADS=4 (and TSan when CISA_ENABLE_TSAN is
- * on) so races on the campaign/search hot path are caught.
+ * binary under CISA_THREADS=4 (and TSan when configured with
+ * CISA_SANITIZE=tsan) so races on the campaign/search hot path are
+ * caught.
  */
 
 #include <cstdlib>

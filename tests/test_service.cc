@@ -867,15 +867,18 @@ readResponse(int fd, Response *resp, std::string *err = nullptr)
 /**
  * Either front end on one address: a daemon, or (@p routed) a router
  * over one worker daemon. @p maxConns bounds whichever one clients
- * reach. Stops both on destruction.
+ * reach; a routed worker keeps the default. Stops both on
+ * destruction.
  */
 struct FrontEnd
 {
-    FrontEnd(bool routed, const std::string &tag, int maxConns = 0)
+    FrontEnd(bool routed, const std::string &tag,
+             int maxConns = Server::Options{}.maxConns)
     {
         Server::Options so;
         so.address = testSocketPath(routed ? tag + "_worker" : tag);
-        so.maxConns = routed ? 0 : maxConns;
+        if (!routed)
+            so.maxConns = maxConns;
         server = std::make_unique<Server>(so);
         if (routed) {
             Router::Options ro;

@@ -12,8 +12,10 @@
  *
  * Usage:
  *   cisa_fleetd --dir DIR [--workers N] [--address ADDR]
- *               [--serve-bin PATH] [--replicas N]
- *               [--print-address FILE]
+ *               [--serve-bin PATH] [--print-address FILE]
+ *
+ * --workers (1-64, default 4) outside its range exits 2 before any
+ * worker is forked. The router runs at its Router::Options defaults.
  *
  * Supervision knobs come from CISA_SUPERVISE_* (src/common/env.hh).
  * Workers inherit this process's environment, so CISA_FAULTS set on
@@ -139,13 +141,12 @@ usage(const char *argv0)
         "usage: %s --dir DIR [options]\n"
         "  --dir DIR             worker socket directory (created "
         "if missing)\n"
-        "  --workers N           supervised workers (default 4)\n"
+        "  --workers N           supervised workers "
+        "(1-64, default 4)\n"
         "  --address ADDR        client-facing router address "
         "(CISA_SERVE_SOCKET)\n"
         "  --serve-bin PATH      cisa_serve binary (default: next "
         "to this binary)\n"
-        "  --replicas N          replica set size per key "
-        "(CISA_ROUTER_REPLICAS)\n"
         "  --print-address FILE  write the bound address to FILE\n",
         argv0);
 }
@@ -170,13 +171,11 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--dir")) {
             dir = val();
         } else if (!std::strcmp(argv[i], "--workers")) {
-            nWorkers = std::atoi(val());
+            nWorkers = flagIntIn("--workers", val(), 1, 64);
         } else if (!std::strcmp(argv[i], "--address")) {
             ropts.address = val();
         } else if (!std::strcmp(argv[i], "--serve-bin")) {
             serveBin = val();
-        } else if (!std::strcmp(argv[i], "--replicas")) {
-            ropts.replicas = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {
@@ -184,7 +183,7 @@ main(int argc, char **argv)
             return std::strcmp(argv[i], "--help") ? 1 : 0;
         }
     }
-    if (dir.empty() || nWorkers < 1) {
+    if (dir.empty()) {
         usage(argv[0]);
         return 1;
     }

@@ -18,9 +18,11 @@
  *
  * SPEC weights endpoints, e.g. "slab=8,ping=1,eval=1,table=1"
  * (default "slab=1"). --rate 0 runs closed-loop (each connection
- * fires as fast as responses return). Exit status is nonzero if any
- * request was lost (transport failure or ERROR status), which is
- * how the fleet smoke test asserts zero loss under worker churn.
+ * fires as fast as responses return). --conns (1-256, default 4)
+ * is the number of sender threads; a value outside that range exits
+ * 2 before any thread starts. Exit status is nonzero if any request
+ * was lost (transport failure or ERROR status), which is how the
+ * fleet smoke test asserts zero loss under worker churn.
  *
  * --seed makes the stream itself reproducible: request n's endpoint
  * and slab picks are drawn from splitmix64 keyed by (seed, n)
@@ -54,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "explore/campaign.hh"
@@ -182,7 +185,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--rate"))
             rate = std::atof(val());
         else if (!std::strcmp(argv[i], "--conns"))
-            conns = std::atoi(val());
+            conns = flagIntIn("--conns", val(), 1, 256);
         else if (!std::strcmp(argv[i], "--duration-ms"))
             durationMs = std::atoll(val());
         else if (!std::strcmp(argv[i], "--count"))
@@ -212,8 +215,7 @@ main(int argc, char **argv)
             return std::strcmp(argv[i], "--help") ? 1 : 0;
         }
     }
-    if (address.empty() || (durationMs <= 0 && count == 0) ||
-        conns <= 0) {
+    if (address.empty() || (durationMs <= 0 && count == 0)) {
         usage(argv[0]);
         return 1;
     }

@@ -8,13 +8,15 @@
  *
  * Usage:
  *   cisa_router --worker ADDR [--worker ADDR ...]
- *               [--address ADDR] [--replicas N] [--health-ms N]
+ *               [--address ADDR] [--replicas N]
  *               [--print-address FILE]
  *
- * Flags default to the CISA_ROUTER_* / CISA_SERVE_* environment
- * knobs (src/common/env.hh); flags win over the environment. On
- * SIGTERM/SIGINT the router stops accepting, finishes in-flight
- * relays, and prints the final fleet stats roll-up.
+ * The address defaults to CISA_SERVE_SOCKET (src/common/env.hh).
+ * --replicas (1-64, default 2) outside its range exits 2 before
+ * anything binds; the health period and connection cap are the
+ * Router::Options defaults (250 ms, 256). On SIGTERM/SIGINT the
+ * router stops accepting, finishes in-flight relays, and prints the
+ * final fleet stats roll-up.
  */
 
 #include <csignal>
@@ -22,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hh"
 #include "service/router.hh"
 
 using namespace cisa;
@@ -48,9 +51,7 @@ usage(const char *argv0)
         "  --address ADDR        client-facing address "
         "(CISA_SERVE_SOCKET)\n"
         "  --replicas N          replica set size per key "
-        "(CISA_ROUTER_REPLICAS)\n"
-        "  --health-ms N         down-worker re-probe period "
-        "(CISA_ROUTER_HEALTH_MS)\n"
+        "(1-64, default 2)\n"
         "  --print-address FILE  write the bound address to FILE\n",
         argv0);
 }
@@ -75,9 +76,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--address")) {
             opts.address = val();
         } else if (!std::strcmp(argv[i], "--replicas")) {
-            opts.replicas = std::atoi(val());
-        } else if (!std::strcmp(argv[i], "--health-ms")) {
-            opts.healthMs = std::atoi(val());
+            opts.replicas = flagIntIn("--replicas", val(), 1, 64);
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {

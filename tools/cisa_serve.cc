@@ -5,11 +5,12 @@
  * gracefully and prints the final per-endpoint stats.
  *
  * Usage:
- *   cisa_serve [--address ADDR] [--queue N] [--workers N]
- *              [--cache N] [--print-address FILE]
+ *   cisa_serve [--address ADDR] [--print-address FILE]
  *
- * Every flag defaults to its CISA_SERVE_* environment knob (see
- * src/common/env.hh); flags win over the environment.
+ * The address defaults to CISA_SERVE_SOCKET (src/common/env.hh).
+ * The daemon runs at its Server::Options defaults: a queue of 64,
+ * 2 dispatcher threads, 256 cached response frames and 256 live
+ * connections.
  *
  * --print-address writes the actually-bound address (one line) to
  * FILE once the daemon is listening. With a TCP "host:0" address
@@ -43,17 +44,10 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--address ADDR] [--queue N] [--workers N] "
-        "[--cache N] [--print-address FILE]\n"
+        "usage: %s [--address ADDR] [--print-address FILE]\n"
         "  --address ADDR        UNIX path or TCP host:port "
         "(CISA_SERVE_SOCKET)\n"
         "  --socket PATH         alias for --address\n"
-        "  --queue N             queue bound, BUSY beyond it "
-        "(CISA_SERVE_QUEUE)\n"
-        "  --workers N           dispatcher threads "
-        "(CISA_SERVE_WORKERS)\n"
-        "  --cache N             cached response frames, 0 = off "
-        "(CISA_SERVE_CACHE)\n"
         "  --print-address FILE  write the bound address to FILE "
         "(host:0 resolves the port)\n",
         argv0);
@@ -77,12 +71,6 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--address") ||
             !std::strcmp(argv[i], "--socket")) {
             opts.address = val();
-        } else if (!std::strcmp(argv[i], "--queue")) {
-            opts.exec.queueBound = std::atoi(val());
-        } else if (!std::strcmp(argv[i], "--workers")) {
-            opts.exec.workers = std::atoi(val());
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            opts.cacheEntries = std::atoi(val());
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {
