@@ -4,7 +4,8 @@
 # 2-worker cisa-serve fleet behind a router — and require the
 # deterministic JSON summaries to be byte-identical. This is the
 # determinism contract's hardest leg: the whole placement trace must
-# not care where the tables came from.
+# not care where the tables came from. Before the fleet starts, a
+# refused --cores must exit 2.
 #
 # Registered with ctest as dcsim_smoke (tests/CMakeLists.txt).
 #
@@ -46,6 +47,21 @@ cleanup() {
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
+
+# A malformed or out-of-range integer flag exits 2 before the
+# simulator allocates anything: --cores -1 once wrapped to 2^64-1
+# tiles.
+set +e
+timeout 20 "$dcsim" --cores -1 --json >"$tmp/bad.log" 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 2 ] ||
+    ! grep -qF -- "--cores: '-1' is not an integer" "$tmp/bad.log"; then
+    echo "error: 'cisa_dcsim --cores -1' exited $rc" \
+        "(want 2, the flag named)" >&2
+    cat "$tmp/bad.log" >&2
+    exit 1
+fi
 
 wait_addr() {
     i=0

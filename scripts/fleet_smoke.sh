@@ -4,7 +4,9 @@
 # cisa_loadgen — zero lost requests required. First, each count flag
 # (cisa_router --replicas, cisa_fleetd --workers, cisa_loadgen
 # --conns) must refuse a malformed or out-of-range value with exit 2
-# before its tool binds, forks or starts a thread. Seconds-scale at
+# before its tool binds, forks or starts a thread, and so must
+# cisa_loadgen's other integers (--count, --slab, a --mix weight) and
+# cisa_client's operands before either connects. Seconds-scale at
 # the tiny default simulation budget, and sanitizer-friendly: the
 # fleet is real processes wired by --print-address files, so
 # ASan/TSan/UBSan builds run it unchanged (no in-process forking).
@@ -25,7 +27,8 @@ serve="$bin/tools/cisa_serve"
 router="$bin/tools/cisa_router"
 fleetd="$bin/tools/cisa_fleetd"
 loadgen="$bin/tools/cisa_loadgen"
-for b in "$serve" "$router" "$fleetd" "$loadgen"; do
+client="$bin/tools/cisa_client"
+for b in "$serve" "$router" "$fleetd" "$loadgen" "$client"; do
     if [ ! -x "$b" ]; then
         echo "error: $b not built (cmake --build)" >&2
         exit 1
@@ -49,9 +52,12 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# Rejections: only zero, negative and malformed values, so a tool
-# that wrongly accepted one would start small (and be stopped by the
-# timeout). test_common checks the upper bounds on the parser.
+# Rejections: only zero, negative, malformed and just-past-the-end
+# values, so a tool that wrongly accepted one would start small (and
+# be stopped by the timeout). test_common checks the upper bounds on
+# the parser. A --mix item is refused by its weight, the part after
+# '='. The address is unreachable: a tool that got as far as
+# connecting would fail with another status.
 # Usage: refuse TOOL FLAG VALUE [ARGS...]
 refuse() {
     tool="$1" flag="$2" value="$3"
@@ -62,7 +68,8 @@ refuse() {
     rc=$?
     set -e
     if [ "$rc" -ne 2 ] || [ -e "$tmp/bad" ] ||
-        ! grep -qF -- "$flag: '$value' is not an integer" "$tmp/bad.log"; then
+        ! grep -qF -- "$flag: '${value#*=}' is not an integer" \
+            "$tmp/bad.log"; then
         echo "error: '$tool $flag $value' exited $rc" \
             "(want 2, nothing bound, the flag named)" >&2
         cat "$tmp/bad.log" >&2
@@ -75,6 +82,10 @@ refuse "$fleetd" --workers 0 --dir "$tmp/fleetd"
 refuse "$fleetd" --workers -2 --dir "$tmp/fleetd"
 refuse "$loadgen" --conns 0 --count 1
 refuse "$loadgen" --conns x --count 1
+refuse "$loadgen" --count 3x
+refuse "$loadgen" --mix ping=x --count 1
+refuse "$loadgen" --slab 29 --count 1
+refuse "$client" slab abc
 [ ! -e "$tmp/fleetd" ] || {
     echo "error: cisa_fleetd acted on a refused flag" >&2
     exit 1

@@ -13,7 +13,11 @@
 # build-once memo that concurrent evaluations race on. The parallel
 # test checks the one production slab path (stage-1 fan-out, stream
 # TaskGroup, lockstep walks, fold) at 1 and 4 threads and against the
-# live per-cell oracle, so TSan sees the slab's whole pool fan-out.
+# live per-cell oracle, so TSan sees the slab's whole pool fan-out;
+# its shared-phase test (CampaignDeterminism.SharedPhasesMatchRecompute)
+# folds slabs from the cross-slab PhaseSimMemo, in order and with a
+# P/F slab pair computing at once over one memo, which is the memo's
+# TSan case.
 # The timing test's seeded differential cases drive the vector
 # kernel, per-cell replay and the live engine over random slices,
 # cells and traces, including stamps near the vector kernel's 32-bit

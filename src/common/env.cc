@@ -32,16 +32,17 @@ parseIntIn(const char *s, int64_t lo, int64_t hi, int64_t *out)
     return true;
 }
 
-int
-flagIntIn(const char *flag, const char *v, int lo, int hi)
+int64_t
+flagIntIn(const char *flag, const char *v, int64_t lo, int64_t hi)
 {
     int64_t n;
     if (!parseIntIn(v, lo, hi, &n)) {
-        std::fprintf(stderr, "%s: '%s' is not an integer in [%d, %d]\n",
-                     flag, v, lo, hi);
+        std::fprintf(stderr,
+                     "%s: '%s' is not an integer in [%lld, %lld]\n",
+                     flag, v, (long long)lo, (long long)hi);
         std::exit(2);
     }
-    return int(n);
+    return n;
 }
 
 int64_t

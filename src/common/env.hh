@@ -24,7 +24,9 @@
  * period) are fields of the service Options, which hold their
  * defaults; tests set the fields directly. Only the counts a script
  * or bench passes are flags: cisa_router --replicas, cisa_fleetd
- * --workers and cisa_loadgen --conns, each read by flagIntIn(). The
+ * --workers and cisa_loadgen --conns. Those and every other integer
+ * flag or operand of the tools (counts, slab/uarch/phase indices,
+ * milliseconds, seeds, mix weights) are read by flagIntIn(). The
  * service address alone also has an environment default
  * (CISA_SERVE_SOCKET).
  */
@@ -49,12 +51,18 @@ namespace cisa
 bool parseIntIn(const char *s, int64_t lo, int64_t hi, int64_t *out);
 
 /**
- * A tool's integer flag: the value @p v of @p flag, in [lo, hi].
- * Anything parseIntIn() refuses prints "flag: 'v' is not an integer
- * in [lo, hi]" and exits 2, before the tool binds, forks or starts a
- * thread.
+ * A tool's integer flag or operand: the value @p v of @p flag, in
+ * [lo, hi]. Anything parseIntIn() refuses prints "flag: 'v' is not
+ * an integer in [lo, hi]" and exits 2, before the tool binds,
+ * connects, forks, allocates or starts a thread. Floating-point
+ * flags (rates, budgets, scales) are read with std::atof and are not
+ * checked this way.
  */
-int flagIntIn(const char *flag, const char *v, int lo, int hi);
+int64_t flagIntIn(const char *flag, const char *v, int64_t lo,
+                  int64_t hi);
+
+/** The longest millisecond flag a tool accepts: one day. */
+constexpr int64_t kFlagMaxMs = 86400000;
 
 /**
  * Integer env var with a default. The whole value must parse as a

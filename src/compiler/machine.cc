@@ -1,7 +1,9 @@
 #include "compiler/machine.hh"
 
+#include <bit>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "isa/registers.hh"
 
@@ -215,6 +217,56 @@ MachineProgram::recomputeStats()
         total.add(s);
     }
     stats = total;
+}
+
+// codeDigest hashes MachineInstr field by field (its padding bytes
+// are indeterminate). A new field changes the size and stops the
+// build here until the digest covers it.
+static_assert(sizeof(MachineInstr) == 120 && sizeof(MemOperand) == 24,
+              "codeDigest must hash every MachineInstr field");
+
+uint64_t
+codeDigest(const MachineProgram &prog)
+{
+    uint64_t h = fnv1a("cisa-code");
+    auto mix = [&h](uint64_t v) { h = hashCombine(h, v); };
+    mix(prog.funcs.size());
+    for (const MachineFunction &f : prog.funcs) {
+        mix(uint64_t(f.frameBytes));
+        mix(f.blocks.size());
+        for (const MachineBlock &b : f.blocks) {
+            mix(b.instrs.size());
+            for (const MachineInstr &i : b.instrs) {
+                mix(uint64_t(i.op));
+                mix(uint64_t(i.form));
+                mix(i.opBits);
+                mix(i.fp);
+                mix(i.vec);
+                mix(i.wideData);
+                mix(uint64_t(i.dst));
+                mix(uint64_t(i.src1));
+                mix(uint64_t(i.src2));
+                mix(uint64_t(i.imm));
+                mix(i.hasImm);
+                mix(uint64_t(i.mem.base));
+                mix(uint64_t(i.mem.index));
+                mix(uint64_t(i.mem.scale));
+                mix(uint64_t(i.mem.disp));
+                mix(uint64_t(i.cond));
+                mix(uint64_t(i.predReg));
+                mix(i.predSense);
+                mix(uint64_t(i.succ0));
+                mix(uint64_t(i.succ1));
+                mix(std::bit_cast<uint64_t>(i.prob));
+                mix(i.predictable);
+                mix(uint64_t(i.callee));
+                mix(i.len);
+                mix(i.uops);
+                mix(i.addr);
+            }
+        }
+    }
+    return h;
 }
 
 } // namespace cisa

@@ -169,6 +169,15 @@ struct MachineProgram
     void recomputeStats();
 };
 
+/**
+ * Digest of everything executing @p prog reads: every MachineInstr
+ * field, each function's block structure and frameBytes. The name,
+ * the target and the derived stats are left out, so programs of two
+ * feature sets that compile to the same code digest equal. Campaign
+ * stage 1 keys its shared simulations by it (src/explore/campaign.hh).
+ */
+uint64_t codeDigest(const MachineProgram &prog);
+
 } // namespace cisa
 
 #endif // CISA_COMPILER_MACHINE_HH

@@ -1,6 +1,7 @@
 #include "explore/campaign.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <type_traits>
 
@@ -18,6 +19,7 @@
 #include "uarch/core.hh"
 #include "uarch/replay.hh"
 #include "workloads/artifact.hh"
+#include "workloads/synth.hh"
 
 namespace cisa
 {
@@ -31,6 +33,28 @@ static_assert(std::is_trivially_copyable_v<PhasePerf>,
               "slab store memcpys PhasePerf blocks");
 
 std::atomic<Campaign *> g_campaign{nullptr};
+
+/**
+ * The stage-1 key of phase @p phase compiled to @p prog for a slab of
+ * ISA @p fs: the code (codeDigest) plus everything else that
+ * execution, vendorAdjustTrace, the structural streams and the cycle
+ * kernels read. Execution reads the target only through its pointer
+ * width, which with the phase fixes the image template; the vendor
+ * adjustment reads only the code-size factor; the streams read only
+ * the uarch and the environment; the kernels read the ISA only
+ * through decodeBandwidthFor, that is, its complexity.
+ */
+uint64_t
+stage1Key(const MachineProgram &prog, int phase, const FeatureSet &fs,
+          double code_size_factor, uint64_t timed, uint64_t warm)
+{
+    uint64_t h = hashCombine(codeDigest(prog), uint64_t(phase));
+    h = hashCombine(h, uint64_t(fs.widthBits()));
+    h = hashCombine(h, uint64_t(fs.complexity));
+    h = hashCombine(h, std::bit_cast<uint64_t>(code_size_factor));
+    h = hashCombine(h, timed);
+    return hashCombine(h, warm);
+}
 } // namespace
 
 Campaign &
@@ -177,7 +201,7 @@ Campaign::ensureSlab(int slab, const CancelToken *cancel)
     std::vector<PhasePerf> cells;
     EngineHealth eh;
     try {
-        cells = computeSlabPerf(slab, cancel, &eh);
+        cells = computeSlabPerf(slab, cancel, &eh, &memo_);
     } catch (...) {
         lk.lock();
         computing_[size_t(slab)] = false;
@@ -190,6 +214,7 @@ Campaign::ensureSlab(int slab, const CancelToken *cancel)
                             std::memory_order_relaxed);
     walksDone_.fetch_add(eh.walksDone, std::memory_order_relaxed);
     walksSaved_.fetch_add(eh.walksSaved, std::memory_order_relaxed);
+    simsShared_.fetch_add(eh.simsShared, std::memory_order_relaxed);
 
     lk.lock();
     size_t base = size_t(slab) *
@@ -210,6 +235,41 @@ Campaign::ensureSlab(int slab, const CancelToken *cancel)
     store_.append(slab,
                   reinterpret_cast<const float *>(cells.data()),
                   cells.size() * 4);
+}
+
+PhaseSimMemo::Entry
+PhaseSimMemo::find(uint64_t key)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = slots_.find(key);
+    if (it == slots_.end())
+        return nullptr;
+    it->second.lastUse = ++clock_;
+    return it->second.e;
+}
+
+void
+PhaseSimMemo::insert(uint64_t key, Entry e)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto [it, fresh] = slots_.try_emplace(key);
+    if (fresh)
+        it->second.e = std::move(e);
+    it->second.lastUse = ++clock_;
+    if (slots_.size() > kCapacity) {
+        slots_.erase(std::min_element(
+            slots_.begin(), slots_.end(),
+            [](const auto &a, const auto &b) {
+                return a.second.lastUse < b.second.lastUse;
+            }));
+    }
+}
+
+size_t
+PhaseSimMemo::size() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return slots_.size();
 }
 
 PhasePerf
@@ -235,7 +295,7 @@ foldPhasePerf(const DesignPoint &dp, uint64_t runOps,
 
 std::vector<PhasePerf>
 computeSlabPerf(int slab, const CancelToken *cancel,
-                EngineHealth *health)
+                EngineHealth *health, PhaseSimMemo *memo)
 {
     checkCancel(cancel);
     auto pointOf = [slab](int u) {
@@ -244,12 +304,11 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     };
     const FeatureSet fs = pointOf(0).isa();
     const VendorModel vm = pointOf(0).vendorModel();
-    inform("campaign: computing slab %d (%s) ...", slab,
-           vm.name().c_str());
 
     uint64_t timed = simUopBudget();
     uint64_t warm = simWarmupUops();
     size_t phases = size_t(phaseCount());
+    const size_t uarchs = size_t(DesignPoint::kUarchCount);
 
     // Structural-slice dedup: one memoized stream per distinct
     // (cache slice + environment + predictor) fingerprint instead of
@@ -268,8 +327,7 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     };
     std::vector<StreamSlice> slices;
     // slice index per (uarch id, env): env 0 = solo, 1 = contended.
-    std::vector<std::array<int, 2>> sliceOf(
-        size_t(DesignPoint::kUarchCount));
+    std::vector<std::array<int, 2>> sliceOf(uarchs);
     const RunEnv envs[2] = {RunEnv{}, kContendedEnv};
     for (int u = 0; u < DesignPoint::kUarchCount; u++) {
         MicroArchConfig ua = MicroArchConfig::byId(u);
@@ -290,14 +348,17 @@ computeSlabPerf(int slab, const CancelToken *cancel,
         }
     }
 
-    // Stage 1: compile and functionally execute each phase exactly
-    // once (buildPhaseArtifact, uncached: nothing outlives the slab
-    // but the trace); the trace is shared read-only by every
-    // simulation below. It stores only the stage1RecordCap prefix a
-    // cell can read while trace.dyn covers the whole run, whose
-    // macro-op count scales a simulated window to one run. Vendor
-    // slabs rescale the stored ops' pcs and lengths
-    // (vendorAdjustTrace), which leaves that count alone.
+    // Stage 1: compile each phase and key it (stage1Key). A phase
+    // whose key @p memo holds is done here: an earlier slab ran the
+    // same program through the same kernels, and the fold takes its
+    // sims. Every other phase is functionally executed once, uncached
+    // (runPhaseProgram: nothing outlives the slab but the trace), and
+    // its trace is shared read-only by every simulation below. It
+    // stores only the stage1RecordCap prefix a cell can read while
+    // trace.dyn covers the whole run, whose macro-op count scales a
+    // simulated window to one run. Vendor slabs rescale the stored
+    // ops' pcs and lengths (vendorAdjustTrace), which leaves that
+    // count alone.
     //
     // As soon as a phase's trace lands, this task packs it and fans
     // its stream builds out onto a TaskGroup, so stream construction
@@ -309,6 +370,8 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     CompileOptions opts;
     opts.target = fs;
     uint64_t record_cap = stage1RecordCap(timed);
+    std::vector<uint64_t> keys(phases);
+    std::vector<PhaseSimMemo::Entry> shared(phases);
     std::vector<Trace> traces(phases);
     std::vector<ReplayTrace> packed(phases);
     std::vector<std::vector<StructuralStream>> streams(
@@ -316,8 +379,14 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     TaskGroup streamTasks;
     parallelFor(phases, [&](uint64_t p) {
         checkCancel(cancel);
-        Trace trace =
-            buildPhaseArtifact(int(p), opts, record_cap).trace;
+        MachineProgram prog = compile(phaseModule(int(p)), opts);
+        keys[p] = stage1Key(prog, int(p), fs, vm.codeSizeFactor,
+                            timed, warm);
+        if (memo)
+            shared[p] = memo->find(keys[p]);
+        if (shared[p])
+            return;
+        Trace trace = runPhaseProgram(int(p), prog, record_cap);
         if (vm.codeSizeFactor != 1.0)
             trace = vendorAdjustTrace(trace, vm.codeSizeFactor);
         traces[p] = std::move(trace);
@@ -333,13 +402,20 @@ computeSlabPerf(int slab, const CancelToken *cancel,
         }
     });
     streamTasks.wait();
+    size_t nShared = size_t(
+        std::count_if(shared.begin(), shared.end(),
+                      [](const auto &e) { return e != nullptr; }));
+    inform("campaign: computing slab %d (%s), shared %zu/%zu "
+           "phases ...",
+           slab, vm.name().c_str(), nShared, phases);
 
     // Stage 2: group cells by structural slice. Every member consumes
     // the identical stream, so one lockstep walk advances them all
-    // (src/uarch/batch.hh). Tasks are (phase, slice, chunk);
-    // CISA_BATCH_WIDTH caps a chunk so one giant group cannot
-    // serialize the pool. Counters are advisory (relaxed): each
-    // output slot is still written by exactly one task.
+    // (src/uarch/batch.hh). Tasks are (phase, slice, chunk) over the
+    // phases simulated here; CISA_BATCH_WIDTH caps a chunk so one
+    // giant group cannot serialize the pool. Counters are advisory
+    // (relaxed): each output slot is still written by exactly one
+    // task.
     std::vector<std::vector<int>> members(slices.size());
     for (int u = 0; u < DesignPoint::kUarchCount; u++)
         for (int e = 0; e < 2; e++)
@@ -351,7 +427,13 @@ computeSlabPerf(int slab, const CancelToken *cancel,
     };
     size_t bw = size_t(batchWidth());
     std::vector<BatchTask> tasks;
+    std::vector<std::shared_ptr<PhaseSims>> fresh(phases);
     for (int ph = 0; ph < int(phases); ph++) {
+        if (shared[size_t(ph)])
+            continue;
+        fresh[size_t(ph)] = std::make_shared<PhaseSims>(PhaseSims{
+            traces[size_t(ph)].dyn.macroOps,
+            std::vector<PerfResult>(uarchs * 2)});
         for (size_t si = 0; si < slices.size(); si++) {
             for (size_t b = 0; b < members[si].size(); b += bw) {
                 tasks.push_back({ph, int(si), b,
@@ -360,13 +442,8 @@ computeSlabPerf(int slab, const CancelToken *cancel,
         }
     }
 
-    // Intermediate per-sim results, indexed (u*phases+ph)*2+env; the
-    // fold below turns them into PhasePerf so cells[] keeps its
-    // one-writer rule.
     std::atomic<uint64_t> nBatched{0}, nPerCell{0}, nWalks{0},
         nSaved{0};
-    std::vector<PerfResult> sims(size_t(DesignPoint::kUarchCount) *
-                                 phases * 2);
     parallelFor(tasks.size(), [&](uint64_t t) {
         checkCancel(cancel);
         const BatchTask &bt = tasks[t];
@@ -380,30 +457,36 @@ computeSlabPerf(int slab, const CancelToken *cancel,
         ccs.reserve(g);
         for (size_t i = bt.begin; i < bt.end; i++)
             ccs.push_back(pointOf(mem[i]).coreConfig());
-        auto slot = [&](size_t i) {
-            return (size_t(mem[i]) * phases + size_t(bt.ph)) * 2 +
-                   size_t(sl.envIdx);
-        };
         size_t walks = 0;
         std::vector<PerfResult> rs = simulateCoreBatch(
             ccs.data(), g, pk, ss, timed, warm, sl.env, &walks);
+        std::vector<PerfResult> &out = fresh[size_t(bt.ph)]->sims;
         for (size_t i = 0; i < g; i++)
-            sims[slot(bt.begin + i)] = rs[i];
+            out[size_t(mem[bt.begin + i]) * 2 + size_t(sl.envIdx)] =
+                rs[i];
         (walks < g ? nBatched : nPerCell)
             .fetch_add(g, std::memory_order_relaxed);
         nWalks.fetch_add(walks, std::memory_order_relaxed);
         nSaved.fetch_add(g - walks, std::memory_order_relaxed);
     });
 
-    std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
-                                 phases);
+    // Fold every cell from its phase's sims, shared or fresh.
+    std::vector<PhasePerf> cells(uarchs * phases);
     parallelFor(cells.size(), [&](uint64_t k) {
         checkCancel(cancel);
-        cells[k] = foldPhasePerf(pointOf(int(k / phases)),
-                                 traces[k % phases].dyn.macroOps,
-                                 sims[k * 2 + 0], sims[k * 2 + 1]);
+        size_t u = k / phases, p = k % phases;
+        const PhaseSims &ps = shared[p] ? *shared[p] : *fresh[p];
+        cells[k] = foldPhasePerf(pointOf(int(u)), ps.runOps,
+                                 ps.sims[u * 2 + 0],
+                                 ps.sims[u * 2 + 1]);
     });
 
+    // Only a finished slab publishes its sims.
+    if (memo) {
+        for (size_t p = 0; p < phases; p++)
+            if (fresh[p])
+                memo->insert(keys[p], fresh[p]);
+    }
     if (health) {
         health->cellsBatched +=
             nBatched.load(std::memory_order_relaxed);
@@ -411,6 +494,7 @@ computeSlabPerf(int slab, const CancelToken *cancel,
             nPerCell.load(std::memory_order_relaxed);
         health->walksDone += nWalks.load(std::memory_order_relaxed);
         health->walksSaved += nSaved.load(std::memory_order_relaxed);
+        health->simsShared += nShared * uarchs * 2;
     }
     return cells;
 }

@@ -20,7 +20,9 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.hh"
@@ -60,11 +62,15 @@ PhasePerf foldPhasePerf(const DesignPoint &dp, uint64_t runOps,
  * Counters of the slab kernel: how many cell simulations shared a
  * lockstep walk vs walked alone (a one-cell chunk, or any chunk that
  * simulateCoreBatch replays cell by cell: no AVX-512,
- * CISA_BATCH_SIMD=0, or cycle stamps that may not fit 32 bits), and
- * how many trace walks that cost vs saved (walksSaved = sims that
- * shared another sim's walk). Accumulated per computeSlabPerf call
- * and, campaign-wide, surfaced through Campaign::engineHealth() and
- * the cisa-serve stats endpoint.
+ * CISA_BATCH_SIMD=0, or cycle stamps that may not fit 32 bits), how
+ * many trace walks that cost vs saved (walksSaved = sims that
+ * shared another sim's walk), and how many sims were not run at all
+ * but folded from a PhaseSimMemo entry of an earlier slab's
+ * identical program. Every sim of a slab lands in exactly one of
+ * cellsBatched/cellsPerCell/simsShared, and in one of
+ * walksDone/walksSaved/simsShared. Accumulated per computeSlabPerf
+ * call and, campaign-wide, surfaced through Campaign::engineHealth()
+ * and the cisa-serve stats endpoint.
  */
 struct EngineHealth
 {
@@ -72,32 +78,94 @@ struct EngineHealth
     uint64_t cellsPerCell = 0; ///< cells that walked alone
     uint64_t walksDone = 0;    ///< trace walks actually performed
     uint64_t walksSaved = 0;   ///< walks amortized away by batching
+    uint64_t simsShared = 0;   ///< sims folded from a memo entry
+};
+
+/** One phase's simulations on every (uarch, environment) cell of a
+ * slab — what foldPhasePerf needs besides the design point. */
+struct PhaseSims
+{
+    uint64_t runOps = 0;          ///< macro-ops of one whole run
+    std::vector<PerfResult> sims; ///< [uarch * 2 + env], env 1 contended
+};
+
+/**
+ * Bounded LRU of PhaseSims keyed by a phase's stage-1 key: the digest
+ * of its compiled code (codeDigest) and of everything else stage 1
+ * and the cycle kernels read (phase, pointer width, ISA complexity,
+ * vendor code-size factor, sim budget). Feature sets that differ only
+ * in a feature a phase never uses compile it to the same code, so a
+ * later slab folds that phase from its twin's entry instead of
+ * executing, packing, stream-building and walking it again.
+ *
+ * kCapacity entries of about 127 KiB each (~32 MiB): the smallest LRU
+ * that covers the longest reuse of the 0..28 slab order (slab 26,
+ * x86-64, reads slab 20's 49 phases about 200 inserts later).
+ * Thread-safe; entries are immutable once inserted, and a lookup
+ * hands out shared ownership, so an eviction never frees an entry a
+ * slab is folding from.
+ */
+class PhaseSimMemo
+{
+  public:
+    using Entry = std::shared_ptr<const PhaseSims>;
+
+    static constexpr size_t kCapacity = 256;
+
+    /** The entry under @p key, now the most recently used; null if
+     * absent. */
+    Entry find(uint64_t key);
+
+    /** Store @p e under @p key as the most recently used entry,
+     * evicting the least recently used one beyond kCapacity. A key
+     * already present keeps its entry (equal keys hold equal sims). */
+    void insert(uint64_t key, Entry e);
+
+    size_t size() const;
+
+  private:
+    struct Slot
+    {
+        Entry e;
+        uint64_t lastUse = 0;
+    };
+
+    mutable std::mutex mu_;
+    std::unordered_map<uint64_t, Slot> slots_;
+    uint64_t clock_ = 0;
 };
 
 /**
  * Compute one slab's full PhasePerf block: every (microarchitecture,
  * phase) cell of one ISA (or vendor), laid out uarch-major —
  * entry [u * phaseCount() + ph] — exactly the contiguous region the
- * slab occupies inside Campaign's table. Each phase is compiled and
- * functionally executed once and packed for replay; cells sharing a
- * structural slice (src/uarch/replay.hh) then advance together in
- * lockstep walks (src/uarch/batch.hh) on the process thread pool.
- * Results are bit-identical at any CISA_THREADS and CISA_BATCH_WIDTH,
- * because each cell is written by exactly one task and nothing on
- * the parallel path shares an RNG, and bit-identical to simulating
- * every cell alone with simulateCore (the live reference the tests
- * hold it to). Exposed outside Campaign so tests and perfbench can
- * compute a slab without going through the singleton's disk cache.
+ * slab occupies inside Campaign's table. Every phase is compiled and
+ * keyed by its stage-1 key (PhaseSimMemo); each distinct program is
+ * functionally executed once and packed for replay, and cells
+ * sharing a structural slice (src/uarch/replay.hh) then advance
+ * together in lockstep walks (src/uarch/batch.hh) on the process
+ * thread pool. A phase whose key is in @p memo skips all of that and
+ * folds its cells from the stored sims; only foldPhasePerf, which
+ * reads the whole design point, runs per slab. Results are
+ * bit-identical at any CISA_THREADS and CISA_BATCH_WIDTH, with or
+ * without a memo, because each cell is written by exactly one task
+ * and nothing on the parallel path shares an RNG, and bit-identical
+ * to simulating every cell alone with simulateCore (the live
+ * reference the tests hold it to). Exposed outside Campaign so tests
+ * and perfbench can compute a slab without going through the
+ * singleton's disk cache.
  *
  * @p cancel (optional) is polled at phase/task boundaries; an
  * expired token aborts with Cancelled and leaves no partial state.
  * An uncancelled run is byte-identical with or without a token.
  * @p health (optional) has this run's counters added to it on
- * success.
+ * success. @p memo (optional) is looked up for every phase, and the
+ * phases this run simulated go into it on success only; without one
+ * every phase is simulated.
  */
 std::vector<PhasePerf> computeSlabPerf(
     int slab, const CancelToken *cancel = nullptr,
-    EngineHealth *health = nullptr);
+    EngineHealth *health = nullptr, PhaseSimMemo *memo = nullptr);
 
 /**
  * Lazily-computed, disk-backed table of PhasePerf over all design
@@ -177,6 +245,7 @@ class Campaign
             cellsPerCell_.load(std::memory_order_relaxed);
         h.walksDone = walksDone_.load(std::memory_order_relaxed);
         h.walksSaved = walksSaved_.load(std::memory_order_relaxed);
+        h.simsShared = simsShared_.load(std::memory_order_relaxed);
         return h;
     }
 
@@ -210,6 +279,10 @@ class Campaign
     std::atomic<uint64_t> cellsPerCell_{0};
     std::atomic<uint64_t> walksDone_{0};
     std::atomic<uint64_t> walksSaved_{0};
+    std::atomic<uint64_t> simsShared_{0};
+
+    /** Simulations shared between the slabs this campaign computes. */
+    PhaseSimMemo memo_;
 };
 
 } // namespace cisa

@@ -219,6 +219,7 @@ struct StatsSnap
         f("slab engine", "per-cell", Sum, s.engine.cellsPerCell...);
         f("slab engine", "walks done", Sum, s.engine.walksDone...);
         f("slab engine", "walks saved", Sum, s.engine.walksSaved...);
+        f("slab engine", "sims shared", Sum, s.engine.simsShared...);
     }
 
     /** Totals across endpoints. */

@@ -8,7 +8,10 @@
  * program, what the compiler did, and the dynamic trace.
  * buildPhaseArtifact() is the one place that produces it, and
  * phaseArtifact() shares one build per (phase, FeatureSet::id(),
- * pipelineKey()) between callers.
+ * pipelineKey()) between callers. Slab stage 1 takes the two halves
+ * apart: it compiles, keys the program by its code, and calls
+ * runPhaseProgram() only when no earlier slab simulated that code
+ * (src/explore/campaign.hh).
  *
  * Two costs are cut on the way:
  * - Record cap. A simulation reads at most warm + timed trace entries

@@ -4,8 +4,10 @@
  * (phase, width) image template must equal the image of the compiled
  * module, the memoized, record-capped evaluatePhase and
  * measureDowngrade must reproduce the uncapped path they replaced bit
- * for bit, concurrent callers of one key must share one build, and
- * the executor's runaway guard must trip on capped runs too.
+ * for bit, concurrent callers of one key must share one build, the
+ * code digest campaign stage 1 keys by must cover every field
+ * execution reads, and the executor's runaway guard must trip on
+ * capped runs too.
  */
 
 #include <gtest/gtest.h>
@@ -315,6 +317,89 @@ TEST(Artifact, MemoKeepsTheMostRecentKeys)
     opts.target = FeatureSet::byId(0);
     phaseArtifact(0, opts); // oldest: rebuilt
     EXPECT_EQ(phaseArtifactBuilds() - before, uint64_t(keys) + 1);
+}
+
+TEST(Artifact, CodeDigestCoversEveryCodeField)
+{
+    // Campaign stage 1 shares one phase's simulations between slabs
+    // whose code digests (with the rest of the stage-1 key) match, so
+    // every field execution reads must move the digest, and the name
+    // and target, which it does not read, must not.
+    CompileOptions opts;
+    opts.target = FeatureSet::x86_64();
+    const MachineProgram base = compile(phaseModule(0), opts);
+    const uint64_t key = codeDigest(base);
+    ASSERT_GE(base.funcs[0].blocks.size(), 2u);
+    ASSERT_FALSE(base.funcs[0].blocks[0].instrs.empty());
+    ASSERT_FALSE(base.funcs[0].blocks[1].instrs.empty());
+
+    auto perturbed = [&](auto &&set) {
+        MachineProgram p = base;
+        set(p);
+        return codeDigest(p);
+    };
+    auto instr = [&](auto &&set) {
+        return perturbed([&](MachineProgram &p) {
+            set(p.funcs[0].blocks[0].instrs[0]);
+        });
+    };
+    auto toggle = [](auto &v, auto a, auto b) { v = v == a ? b : a; };
+
+    EXPECT_NE(key, instr([&](auto &i) {
+                  toggle(i.op, Op::Nop, Op::Mov);
+              }));
+    EXPECT_NE(key, instr([&](auto &i) {
+                  toggle(i.form, MemForm::None, MemForm::Load);
+              }));
+    EXPECT_NE(key, instr([&](auto &i) {
+                  toggle(i.opBits, uint8_t(64), uint8_t(32));
+              }));
+    EXPECT_NE(key, instr([](auto &i) { i.fp = !i.fp; }));
+    EXPECT_NE(key, instr([](auto &i) { i.vec = !i.vec; }));
+    EXPECT_NE(key, instr([](auto &i) { i.wideData = !i.wideData; }));
+    EXPECT_NE(key, instr([](auto &i) { i.dst++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.src1++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.src2++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.imm++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.hasImm = !i.hasImm; }));
+    EXPECT_NE(key, instr([](auto &i) { i.mem.base++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.mem.index++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.mem.scale *= 2; }));
+    EXPECT_NE(key, instr([](auto &i) { i.mem.disp += 8; }));
+    EXPECT_NE(key, instr([&](auto &i) {
+                  toggle(i.cond, Cond::Eq, Cond::Ne);
+              }));
+    EXPECT_NE(key, instr([](auto &i) { i.predReg++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.predSense = !i.predSense; }));
+    EXPECT_NE(key, instr([](auto &i) { i.succ0++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.succ1++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.prob += 0.125; }));
+    EXPECT_NE(key,
+              instr([](auto &i) { i.predictable = !i.predictable; }));
+    EXPECT_NE(key, instr([](auto &i) { i.callee++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.len++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.uops++; }));
+    EXPECT_NE(key, instr([](auto &i) { i.addr++; }));
+
+    EXPECT_NE(key, perturbed([](MachineProgram &p) {
+                  p.funcs[0].frameBytes += 8;
+              }));
+    // The same instruction sequence split at another block boundary.
+    EXPECT_NE(key, perturbed([](MachineProgram &p) {
+                  auto &b = p.funcs[0].blocks;
+                  b[0].instrs.push_back(b[1].instrs.front());
+                  b[1].instrs.erase(b[1].instrs.begin());
+              }));
+    EXPECT_NE(key, perturbed([](MachineProgram &p) {
+                  p.funcs[0].blocks.emplace_back();
+              }));
+
+    EXPECT_EQ(key, perturbed([](MachineProgram &p) {
+                  p.name += "-twin";
+              }));
+    EXPECT_EQ(key, perturbed([](MachineProgram &p) {
+                  p.target = FeatureSet::byId(21);
+              }));
 }
 
 TEST(Exec, RunawayGuardTripsCappedRuns)

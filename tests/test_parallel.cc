@@ -3,11 +3,13 @@
  * Tests of the parallel-execution layer and the determinism
  * guarantee of the parallel campaign: parallelFor semantics (empty
  * range, fewer items than threads, full coverage, exception
- * propagation, nesting), the task-queue API, and byte-identical
- * slab computation across thread counts. The ctest suite runs this
- * binary under CISA_THREADS=4 (and TSan when configured with
- * CISA_SANITIZE=tsan) so races on the campaign/search hot path are
- * caught.
+ * propagation, nesting), the task-queue API, byte-identical slab
+ * computation across thread counts, and slabs that fold shared
+ * phases from the PhaseSimMemo (in order and concurrently) equal
+ * their full recompute, with the memo's LRU bound. The ctest suite
+ * runs this binary under CISA_THREADS=4 (and TSan when configured
+ * with CISA_SANITIZE=tsan) so races on the campaign/search hot path
+ * are caught.
  */
 
 #include <cstdlib>
@@ -31,6 +33,8 @@ struct EnvSetup
 
 #include <atomic>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -178,6 +182,106 @@ TEST(CampaignDeterminism, SlabIsBitIdenticalToLiveOracle)
                   0)
             << "slab " << slab;
     }
+}
+
+bool
+sameBytes(const std::vector<PhasePerf> &a,
+          const std::vector<PhasePerf> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       a.size() * sizeof(PhasePerf)) == 0;
+}
+
+/**
+ * Phases whose code is identical across slabs are simulated once and
+ * folded from the memo in later slabs; the folded slabs must equal
+ * their full recompute byte for byte. Slab 20 (x86-16D-64W-P) and
+ * vendor slab 26 (x86-64, code-size factor 1.0) compile every phase
+ * to the same code; slab 21 (x86-16D-64W-F) differs from slab 20
+ * only in full predication, which leaves some phases unchanged.
+ */
+TEST(CampaignDeterminism, SharedPhasesMatchRecompute)
+{
+    const uint64_t sims = uint64_t(DesignPoint::kUarchCount) *
+                          uint64_t(phaseCount()) * 2;
+    auto accounted = [&](const EngineHealth &h) {
+        return h.walksDone + h.walksSaved + h.simsShared == sims &&
+               h.cellsBatched + h.cellsPerCell + h.simsShared ==
+                   sims;
+    };
+
+    std::map<int, std::vector<PhasePerf>> unshared;
+    PhaseSimMemo memo;
+    std::map<int, EngineHealth> health;
+    for (int slab : {20, 21, 26}) {
+        EngineHealth plain;
+        unshared[slab] = computeSlabPerf(slab, nullptr, &plain);
+        EXPECT_EQ(plain.simsShared, 0u);
+        std::vector<PhasePerf> folded =
+            computeSlabPerf(slab, nullptr, &health[slab], &memo);
+        EXPECT_TRUE(sameBytes(unshared[slab], folded))
+            << "slab " << slab;
+        EXPECT_TRUE(accounted(health[slab])) << "slab " << slab;
+        EXPECT_LE(memo.size(), PhaseSimMemo::kCapacity);
+    }
+    EXPECT_EQ(health[20].simsShared, 0u);
+    EXPECT_GT(health[21].simsShared, 0u);
+    EXPECT_LT(health[21].simsShared, sims);
+    EXPECT_EQ(health[26].walksDone, 0u);
+    EXPECT_EQ(health[26].simsShared, sims);
+
+    // The P/F pair at once on the pool over one fresh memo: whichever
+    // slab simulates a shared phase first, or both at the same time,
+    // both results keep the unshared bytes. (TSan covers the memo.)
+    PhaseSimMemo pairMemo;
+    const int pair[2] = {20, 21};
+    std::vector<PhasePerf> out[2];
+    EngineHealth pairHealth[2];
+    parallelFor(2, [&](uint64_t i) {
+        out[i] = computeSlabPerf(pair[i], nullptr, &pairHealth[i],
+                                 &pairMemo);
+    });
+    for (int i = 0; i < 2; i++) {
+        EXPECT_TRUE(sameBytes(unshared[pair[i]], out[i]))
+            << "slab " << pair[i];
+        EXPECT_TRUE(accounted(pairHealth[i])) << "slab " << pair[i];
+    }
+}
+
+TEST(PhaseSimMemo, EvictsTheLeastRecentlyUsedEntry)
+{
+    const uint64_t cap = PhaseSimMemo::kCapacity;
+    auto entry = [] { return std::make_shared<const PhaseSims>(); };
+
+    // capacity + 1 inserts: the first key goes.
+    PhaseSimMemo m;
+    for (uint64_t k = 0; k <= cap; k++) {
+        m.insert(k, entry());
+        ASSERT_LE(m.size(), cap);
+    }
+    EXPECT_EQ(m.size(), cap);
+    EXPECT_EQ(m.find(0), nullptr);
+    for (uint64_t k = 1; k <= cap; k++)
+        ASSERT_NE(m.find(k), nullptr) << k;
+
+    // A lookup refreshes: after touching key 0, the next insert
+    // evicts key 1, the least recently used one now.
+    PhaseSimMemo r;
+    for (uint64_t k = 0; k < cap; k++)
+        r.insert(k, entry());
+    ASSERT_NE(r.find(0), nullptr);
+    r.insert(cap, entry());
+    EXPECT_EQ(r.size(), cap);
+    EXPECT_NE(r.find(0), nullptr);
+    EXPECT_EQ(r.find(1), nullptr);
+
+    // Re-inserting a present key keeps its entry and its count.
+    PhaseSimMemo::Entry kept = r.find(2);
+    ASSERT_NE(kept, nullptr);
+    r.insert(2, entry());
+    EXPECT_EQ(r.find(2), kept);
+    EXPECT_EQ(r.size(), cap);
 }
 
 TEST(CampaignDeterminism, ConcurrentAtOnSameSlabIsConsistent)

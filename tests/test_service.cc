@@ -468,7 +468,7 @@ TEST(StatsCodec, RoundTrips)
             scalars++;
         },
         in);
-    EXPECT_EQ(scalars, 29u);
+    EXPECT_EQ(scalars, 30u);
     in.faults = {{"net.read", 1001, 7}, {"disk.fsync", 1002, 8}};
 
     ByteWriter w;

@@ -19,6 +19,12 @@
  *     FAMILY    = homog | single | multivendor | xized | full
  *     OBJECTIVE = mp-thr | mp-edp | st-perf | st-edp
  *   stats
+ *
+ * Integer operands and flags are checked against their ranges — ISA
+ * 0-25, UARCH 0-179, PHASE 0-48, SLAB 0-28, --deadline-ms
+ * 0-86400000 (a day), --seed >= 0 — and a malformed or out-of-range
+ * one exits 2 before the client connects. --power and --area are
+ * read as floating point and not checked.
  */
 
 #include <cstdio>
@@ -27,7 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
+#include "explore/campaign.hh"
 #include "service/client.hh"
+#include "workloads/profiles.hh"
 
 using namespace cisa;
 
@@ -82,20 +91,20 @@ parseObjective(const std::string &s, Objective *out)
     return true;
 }
 
-bool
-parseIsa(const std::string &s, DesignPoint *dp, int uarch)
+/** A vendor name, or a composite feature-set id (exits 2 if it is
+ * neither). */
+DesignPoint
+parseIsa(const std::string &s, int uarch)
 {
     if (s == "x86_64")
-        *dp = DesignPoint::vendorPoint(VendorIsa::X86_64, uarch);
-    else if (s == "alpha")
-        *dp = DesignPoint::vendorPoint(VendorIsa::AlphaLike, uarch);
-    else if (s == "thumb")
-        *dp = DesignPoint::vendorPoint(VendorIsa::ThumbLike, uarch);
-    else if (!s.empty() && std::isdigit((unsigned char)s[0]))
-        *dp = DesignPoint::composite(std::atoi(s.c_str()), uarch);
-    else
-        return false;
-    return true;
+        return DesignPoint::vendorPoint(VendorIsa::X86_64, uarch);
+    if (s == "alpha")
+        return DesignPoint::vendorPoint(VendorIsa::AlphaLike, uarch);
+    if (s == "thumb")
+        return DesignPoint::vendorPoint(VendorIsa::ThumbLike, uarch);
+    return DesignPoint::composite(
+        int(flagIntIn("isa", s.c_str(), 0, FeatureSet::count() - 1)),
+        uarch);
 }
 
 int
@@ -126,7 +135,8 @@ main(int argc, char **argv)
             socket = argv[++i];
         else if (!std::strcmp(argv[i], "--deadline-ms") &&
                  i + 1 < argc)
-            deadline_ms = uint32_t(std::atoi(argv[++i]));
+            deadline_ms = uint32_t(
+                flagIntIn("--deadline-ms", argv[++i], 0, kFlagMaxMs));
         else
             return usage(argv[0],
                          std::strcmp(argv[i], "--help") ? 1 : 0);
@@ -134,6 +144,49 @@ main(int argc, char **argv)
     if (i >= argc)
         return usage(argv[0], 1);
     std::string cmd = argv[i++];
+
+    // Every operand is checked before connecting, so a malformed or
+    // out-of-range one exits 2 without a request.
+    int slab = 0;
+    DesignPoint dp;
+    int phase = 0;
+    Family family{};
+    Objective objective{};
+    Budget b;
+    uint64_t seed = 1;
+    if (cmd == "slab" || cmd == "table") {
+        if (i >= argc)
+            return usage(argv[0], 1);
+        slab = int(flagIntIn("slab", argv[i], 0, Campaign::kSlabs - 1));
+    } else if (cmd == "eval") {
+        if (i + 2 >= argc)
+            return usage(argv[0], 1);
+        dp = parseIsa(argv[i],
+                      int(flagIntIn("uarch", argv[i + 1], 0,
+                                    DesignPoint::kUarchCount - 1)));
+        phase = int(flagIntIn("phase", argv[i + 2], 0, phaseCount() - 1));
+    } else if (cmd == "search") {
+        if (i + 1 >= argc)
+            return usage(argv[0], 1);
+        if (!parseFamily(argv[i], &family) ||
+            !parseObjective(argv[i + 1], &objective))
+            return usage(argv[0], 1);
+        for (i += 2; i < argc; i++) {
+            if (!std::strcmp(argv[i], "--power") && i + 1 < argc)
+                b.powerW = std::atof(argv[++i]);
+            else if (!std::strcmp(argv[i], "--area") && i + 1 < argc)
+                b.areaMm2 = std::atof(argv[++i]);
+            else if (!std::strcmp(argv[i], "--dynamic"))
+                b.dynamicMulticore = true;
+            else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
+                seed = uint64_t(
+                    flagIntIn("--seed", argv[++i], 0, INT64_MAX));
+            else
+                return usage(argv[0], 1);
+        }
+    } else if (cmd != "ping" && cmd != "stats") {
+        return usage(argv[0], 1);
+    }
 
     Client client;
     std::string err;
@@ -155,17 +208,14 @@ main(int argc, char **argv)
             std::printf("%s", snap.render().c_str());
         return report(s, client);
     }
-    if (cmd == "slab" || cmd == "table") {
-        if (i >= argc)
-            return usage(argv[0], 1);
-        int slab = std::atoi(argv[i]);
-        if (cmd == "table") {
-            std::string table;
-            Status s = client.tableOf(slab, &table, deadline_ms);
-            if (s == Status::Ok)
-                std::printf("%s", table.c_str());
-            return report(s, client);
-        }
+    if (cmd == "table") {
+        std::string table;
+        Status s = client.tableOf(slab, &table, deadline_ms);
+        if (s == Status::Ok)
+            std::printf("%s", table.c_str());
+        return report(s, client);
+    }
+    if (cmd == "slab") {
         std::vector<PhasePerf> perf;
         Status s = client.slabPerf(slab, &perf, deadline_ms);
         if (s == Status::Ok)
@@ -173,12 +223,6 @@ main(int argc, char **argv)
         return report(s, client);
     }
     if (cmd == "eval") {
-        if (i + 2 >= argc)
-            return usage(argv[0], 1);
-        DesignPoint dp;
-        if (!parseIsa(argv[i], &dp, std::atoi(argv[i + 1])))
-            return usage(argv[0], 1);
-        int phase = std::atoi(argv[i + 2]);
         PhasePerf p;
         Status s = client.evalPoint(dp, phase, &p, deadline_ms);
         if (s == Status::Ok) {
@@ -192,40 +236,14 @@ main(int argc, char **argv)
         }
         return report(s, client);
     }
-    if (cmd == "search") {
-        if (i + 1 >= argc)
-            return usage(argv[0], 1);
-        Family family;
-        Objective objective;
-        if (!parseFamily(argv[i], &family) ||
-            !parseObjective(argv[i + 1], &objective))
-            return usage(argv[0], 1);
-        i += 2;
-        Budget b;
-        uint64_t seed = 1;
-        for (; i < argc; i++) {
-            if (!std::strcmp(argv[i], "--power") && i + 1 < argc)
-                b.powerW = std::atof(argv[++i]);
-            else if (!std::strcmp(argv[i], "--area") && i + 1 < argc)
-                b.areaMm2 = std::atof(argv[++i]);
-            else if (!std::strcmp(argv[i], "--dynamic"))
-                b.dynamicMulticore = true;
-            else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-                seed = uint64_t(std::atoll(argv[++i]));
-            else
-                return usage(argv[0], 1);
-        }
-        SearchResult res;
-        Status s = client.search(family, objective, b, seed, &res,
-                                 deadline_ms);
-        if (s == Status::Ok) {
-            std::printf("%s / score %.6g%s\n",
-                        familyName(family), res.score,
-                        res.feasible ? "" : " (infeasible)");
-            for (const DesignPoint &dp : res.design.cores)
-                std::printf("  %s\n", dp.name().c_str());
-        }
-        return report(s, client);
+    SearchResult res;
+    Status s = client.search(family, objective, b, seed, &res,
+                             deadline_ms);
+    if (s == Status::Ok) {
+        std::printf("%s / score %.6g%s\n", familyName(family),
+                    res.score, res.feasible ? "" : " (infeasible)");
+        for (const DesignPoint &d : res.design.cores)
+            std::printf("  %s\n", d.name().c_str());
     }
-    return usage(argv[0], 1);
+    return report(s, client);
 }

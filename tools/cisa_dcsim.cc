@@ -24,6 +24,12 @@
  *       the iso-area homogeneous x86 grid on the same job stream and
  *       reports the ratios.
  *
+ * Integer flags are checked against their ranges — --cores 1 to
+ * 2^32-1 (tile ids are 32-bit), --jobs >= 1, --inflight >= 0,
+ * --seed >= 0 — and a malformed or out-of-range value exits 2 before
+ * anything is allocated. --rate and --runs-scale are read as
+ * floating point and not checked this way.
+ *
  * --json prints the canonical deterministic JSON (the smoke test
  * diffs it byte-for-byte between local and fleet runs); --host-stats
  * appends wall-clock throughput and placement-latency percentiles,
@@ -35,6 +41,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.hh"
 #include "dcsim/dcsim.hh"
 
 using namespace cisa;
@@ -120,9 +127,10 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--cores"))
-            cfg.cores = std::strtoull(val(), nullptr, 10);
+            cfg.cores = uint64_t(
+                flagIntIn("--cores", val(), 1, UINT32_MAX));
         else if (!std::strcmp(argv[i], "--jobs"))
-            cfg.jobs = std::strtoull(val(), nullptr, 10);
+            cfg.jobs = uint64_t(flagIntIn("--jobs", val(), 1, INT64_MAX));
         else if (!std::strcmp(argv[i], "--policy")) {
             if (!parseDcPolicy(val(), &cfg.policy)) {
                 usage(argv[0]);
@@ -134,13 +142,14 @@ main(int argc, char **argv)
                 return 1;
             }
         } else if (!std::strcmp(argv[i], "--seed"))
-            cfg.seed = std::strtoull(val(), nullptr, 10);
+            cfg.seed = uint64_t(flagIntIn("--seed", val(), 0, INT64_MAX));
         else if (!std::strcmp(argv[i], "--mix"))
             cfg.mix = val();
         else if (!std::strcmp(argv[i], "--rate"))
             cfg.rate = std::atof(val());
         else if (!std::strcmp(argv[i], "--inflight"))
-            cfg.inflight = std::strtoull(val(), nullptr, 10);
+            cfg.inflight =
+                uint64_t(flagIntIn("--inflight", val(), 0, INT64_MAX));
         else if (!std::strcmp(argv[i], "--runs-scale"))
             cfg.runsScale = std::atof(val());
         else if (!std::strcmp(argv[i], "--fleet"))
@@ -158,7 +167,7 @@ main(int argc, char **argv)
             return std::strcmp(argv[i], "--help") ? 1 : 0;
         }
     }
-    if (cfg.cores == 0 || cfg.runsScale <= 0) {
+    if (cfg.runsScale <= 0) {
         usage(argv[0]);
         return 1;
     }

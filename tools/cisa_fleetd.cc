@@ -171,7 +171,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--dir")) {
             dir = val();
         } else if (!std::strcmp(argv[i], "--workers")) {
-            nWorkers = flagIntIn("--workers", val(), 1, 64);
+            nWorkers = int(flagIntIn("--workers", val(), 1, 64));
         } else if (!std::strcmp(argv[i], "--address")) {
             ropts.address = val();
         } else if (!std::strcmp(argv[i], "--serve-bin")) {

@@ -19,10 +19,14 @@
  * SPEC weights endpoints, e.g. "slab=8,ping=1,eval=1,table=1"
  * (default "slab=1"). --rate 0 runs closed-loop (each connection
  * fires as fast as responses return). --conns (1-256, default 4)
- * is the number of sender threads; a value outside that range exits
- * 2 before any thread starts. Exit status is nonzero if any request
- * was lost (transport failure or ERROR status), which is how the
- * fleet smoke test asserts zero loss under worker churn.
+ * is the number of sender threads. Every integer value is checked
+ * against its range — --count >= 1, --slab 0-28, --seed >= 0,
+ * --retries 0-100, --duration-ms, --deadline-ms and --kill-at-ms
+ * 0-86400000 (a day), --kill-pid >= 1, each SPEC weight 1-1000000 —
+ * and a malformed or out-of-range one exits 2 before any connection
+ * or thread starts. Exit status is nonzero if any request was lost
+ * (transport failure or ERROR status), which is how the fleet smoke
+ * test asserts zero loss under worker churn.
  *
  * --seed makes the stream itself reproducible: request n's endpoint
  * and slab picks are drawn from splitmix64 keyed by (seed, n)
@@ -76,6 +80,10 @@ struct MixEntry
     int weight;
 };
 
+/** Largest --mix weight: any mix of the four endpoints sums in an
+ * int. */
+constexpr int kMaxWeight = 1000000;
+
 std::vector<MixEntry>
 parseMix(const std::string &spec)
 {
@@ -89,11 +97,11 @@ parseMix(const std::string &spec)
         pos = comma + 1;
         size_t eq = item.find('=');
         std::string name = item.substr(0, eq);
-        int weight = eq == std::string::npos
-                         ? 1
-                         : std::atoi(item.c_str() + eq + 1);
-        if (weight <= 0)
-            continue;
+        int weight =
+            eq == std::string::npos
+                ? 1
+                : int(flagIntIn("--mix", item.c_str() + eq + 1, 1,
+                                kMaxWeight));
         ReqType t;
         if (name == "ping")
             t = ReqType::Ping;
@@ -161,7 +169,7 @@ main(int argc, char **argv)
     int conns = 4;
     int64_t durationMs = 0;
     uint64_t count = 0;
-    std::string mixSpec = "slab=1";
+    std::vector<MixEntry> mix = parseMix("slab=1");
     int fixedSlab = -1;
     uint64_t seed = 0;
     bool seeded = false;
@@ -185,29 +193,31 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--rate"))
             rate = std::atof(val());
         else if (!std::strcmp(argv[i], "--conns"))
-            conns = flagIntIn("--conns", val(), 1, 256);
+            conns = int(flagIntIn("--conns", val(), 1, 256));
         else if (!std::strcmp(argv[i], "--duration-ms"))
-            durationMs = std::atoll(val());
+            durationMs = flagIntIn("--duration-ms", val(), 0, kFlagMaxMs);
         else if (!std::strcmp(argv[i], "--count"))
-            count = std::strtoull(val(), nullptr, 10);
+            count = uint64_t(flagIntIn("--count", val(), 1, INT64_MAX));
         else if (!std::strcmp(argv[i], "--mix"))
-            mixSpec = val();
+            mix = parseMix(val());
         else if (!std::strcmp(argv[i], "--slab"))
-            fixedSlab = std::atoi(val());
+            fixedSlab = int(
+                flagIntIn("--slab", val(), 0, Campaign::kSlabs - 1));
         else if (!std::strcmp(argv[i], "--seed")) {
-            seed = std::strtoull(val(), nullptr, 10);
+            seed = uint64_t(flagIntIn("--seed", val(), 0, INT64_MAX));
             seeded = true;
         }
         else if (!std::strcmp(argv[i], "--retries"))
-            retries = std::atoi(val());
+            retries = int(flagIntIn("--retries", val(), 0, 100));
         else if (!std::strcmp(argv[i], "--deadline-ms"))
-            deadlineMs = uint32_t(std::atoll(val()));
+            deadlineMs =
+                uint32_t(flagIntIn("--deadline-ms", val(), 0, kFlagMaxMs));
         else if (!std::strcmp(argv[i], "--verify-bytes"))
             verifyBytes = true;
         else if (!std::strcmp(argv[i], "--kill-pid"))
-            killPid = std::atol(val());
+            killPid = long(flagIntIn("--kill-pid", val(), 1, INT32_MAX));
         else if (!std::strcmp(argv[i], "--kill-at-ms"))
-            killAtMs = std::atoll(val());
+            killAtMs = flagIntIn("--kill-at-ms", val(), 0, kFlagMaxMs);
         else if (!std::strcmp(argv[i], "--json"))
             json = true;
         else {
@@ -220,7 +230,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const std::vector<MixEntry> mix = parseMix(mixSpec);
     int totalWeight = 0;
     for (const MixEntry &m : mix)
         totalWeight += m.weight;

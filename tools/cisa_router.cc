@@ -76,7 +76,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--address")) {
             opts.address = val();
         } else if (!std::strcmp(argv[i], "--replicas")) {
-            opts.replicas = flagIntIn("--replicas", val(), 1, 64);
+            opts.replicas = int(flagIntIn("--replicas", val(), 1, 64));
         } else if (!std::strcmp(argv[i], "--print-address")) {
             printAddress = val();
         } else {
